@@ -1,35 +1,25 @@
 """moodtrends: six-dimensional mood scoring of future-dated message corpora
 with Kolmogorov-Smirnov year-pair testing and quadratic trend fits."""
 
-from .corpus import (CorpusStats, EmailRecord, FilterResult, RejectionReport,
-                     delivery_histogram, filter_english, parse_corpus,
-                     parse_corpus_file, word_frequency)
-from .lexicon import (SCALES, CompiledMatcher, LexiconEntry, LexiconError,
-                      MoodLexicon, MoodScale, compile_lexicon,
-                      load_default_lexicon, load_lexicon, load_lexicon_file)
-from .scoring import (MoodVector, ScoredRecord, YearBucket, ZeroVectorError,
-                      normalize, score_corpus, score_record, score_tokens,
-                      to_mood_vector)
-from .stats import (KsResult, SignificanceMatrix, TrendSeries, build_trend,
-                    ks_two_sample, pairwise_ks, polyfit2, zscore_series)
-from .synth import TrendSpec, generate_corpus, make_trend_spec
-from .textproc import Token, porter_stem, tokenize
+from .corpus import filter_english, parse_corpus_file
+from .lexicon import (SCALES, MoodScale, compile_lexicon, load_default_lexicon,
+                      load_lexicon_file)
+from .scoring import (ScoredRecord, YearBucket, bucket_scores, score_corpus,
+                      score_record)
+from .stats import build_trend, ks_two_sample, pairwise_ks
+from .synth import generate_corpus, make_trend_spec
+from .textproc import porter_stem, tokenize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorpusStats", "EmailRecord", "FilterResult", "RejectionReport",
-    "delivery_histogram", "filter_english", "parse_corpus",
-    "parse_corpus_file", "word_frequency",
-    "SCALES", "CompiledMatcher", "LexiconEntry", "LexiconError",
-    "MoodLexicon", "MoodScale", "compile_lexicon", "load_default_lexicon",
-    "load_lexicon", "load_lexicon_file",
-    "MoodVector", "ScoredRecord", "YearBucket", "ZeroVectorError",
-    "normalize", "score_corpus", "score_record", "score_tokens",
-    "to_mood_vector",
-    "KsResult", "SignificanceMatrix", "TrendSeries", "build_trend",
-    "ks_two_sample", "pairwise_ks", "polyfit2", "zscore_series",
-    "TrendSpec", "generate_corpus", "make_trend_spec",
-    "Token", "porter_stem", "tokenize",
+    "filter_english", "parse_corpus_file",
+    "SCALES", "MoodScale", "compile_lexicon", "load_default_lexicon",
+    "load_lexicon_file",
+    "ScoredRecord", "YearBucket", "bucket_scores", "score_corpus",
+    "score_record",
+    "build_trend", "ks_two_sample", "pairwise_ks",
+    "generate_corpus", "make_trend_spec",
+    "porter_stem", "tokenize",
     "__version__",
 ]

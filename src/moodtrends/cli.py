@@ -8,16 +8,18 @@ Exit codes: 0 success, 1 usage/config error, 2 data validation error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import scoring, stats, svg, synth
-from .config import ConfigError, PipelineConfig, apply_overrides, load_config, parse_kv_file
+from .config import (KEY_TYPES, ConfigError, PipelineConfig, apply_overrides,
+                     load_config, parse_kv_file)
 from .corpus import parse_corpus_file
 from .lexicon import SCALES, LexiconError, MoodScale, compile_lexicon, load_lexicon_file
-from .scoring import MoodVector, YearBucket
+from .scoring import ScoredRecord, YearBucket, bucket_scores
 from .textproc import porter_stem, tokenize
 
 EXIT_OK = 0
@@ -56,9 +58,7 @@ def _p4(p: float) -> str:
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
     overrides = {}
-    for key in ("corpus_path", "corpus_format", "lexicon_path", "origin_year",
-                "year_min", "year_max", "english_threshold", "alpha_significant",
-                "alpha_marginal", "output_dir", "emit_svg", "top_n"):
+    for key in KEY_TYPES:
         value = getattr(args, key, None)
         if value is not None and value is not False:
             overrides[key] = value
@@ -97,28 +97,13 @@ def _load_matcher(cfg: PipelineConfig):
 
 
 def _score_chain(cfg: PipelineConfig):
-    """parse -> filter -> score -> bucket; returns everything downstream
-    commands need."""
+    """parse -> filter -> score; returns the parsed records, the rejections,
+    the language filter result and the scored rows within the year range."""
     records, rejections = _load_records(cfg)
     matcher = _load_matcher(cfg)
     filtered = corpus_mod.filter_english(records, threshold=cfg.english_threshold)
-    scored = [scoring.score_record(rec, matcher) for rec in filtered.kept]
-    buckets: dict[int, YearBucket] = {}
-    year_range = cfg.year_range
-    kept_rows = []
-    for sc in scored:
-        year = sc.delivery_year
-        if year_range is not None and not year_range[0] <= year <= year_range[1]:
-            continue
-        kept_rows.append(sc)
-        bucket = buckets.get(year)
-        if bucket is None:
-            bucket = buckets[year] = YearBucket(year=year)
-        if sc.match_count == 0:
-            bucket.zero_match_count += 1
-        else:
-            bucket.vectors.append(sc.vector)
-    return records, rejections, filtered, kept_rows, buckets
+    rows = scoring.score_records(filtered.kept, matcher, cfg.year_range)
+    return records, rejections, filtered, rows
 
 
 def _write_rejections(out_dir: Path, rejections, filtered) -> None:
@@ -176,22 +161,27 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _scores_csv_lines(kept_rows) -> list[str]:
-    lines = ["id,delivery_year,tension,depression,anger,vigor,fatigue,confusion,match_count"]
-    for sc in kept_rows:
-        comps = ",".join(repr(c) for c in sc.vector.as_tuple())
-        lines.append(f"{sc.id},{sc.delivery_year},{comps},{sc.match_count}")
-    return lines
+SCORES_HEADER = ["id", "delivery_year", *(s.value for s in SCALES), "match_count"]
+
+
+def _write_scores_csv(path: Path, rows: list[ScoredRecord]) -> None:
+    # str() of a float is its shortest round-trip repr, so analyze --scores
+    # reads back exactly the vectors inline analysis uses
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SCORES_HEADER)
+        for sc in rows:
+            writer.writerow([sc.id, sc.delivery_year, *sc.components, sc.match_count])
 
 
 def cmd_score(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    records, rejections, filtered, kept_rows, buckets = _score_chain(cfg)
+    records, rejections, filtered, rows = _score_chain(cfg)
+    buckets = bucket_scores(rows, cfg.year_range)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    (out_dir / "scores.csv").write_text(
-        "\n".join(_scores_csv_lines(kept_rows)) + "\n", encoding="utf-8")
+    _write_scores_csv(out_dir / "scores.csv", rows)
     (out_dir / "buckets.json").write_text(
         json.dumps(_buckets_json(buckets), indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
@@ -200,35 +190,27 @@ def cmd_score(args: argparse.Namespace) -> int:
     zero_total = sum(b.zero_match_count for b in buckets.values())
     print(f"parsed: {len(records)}  rejected lines: {len(rejections)}  "
           f"non-english: {len(filtered.rejected)}  short-flagged: {len(filtered.flagged_short)}  "
-          f"scored: {len(kept_rows)}  zero-match: {zero_total}")
+          f"scored: {len(rows)}  zero-match: {zero_total}")
     return EXIT_OK
 
 
-def _read_scores_csv(path: Path) -> dict[int, YearBucket]:
-    buckets: dict[int, YearBucket] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        expected = "id,delivery_year,tension,depression,anger,vigor,fatigue,confusion,match_count"
-        if header != expected:
-            raise DataError(f"unexpected scores.csv header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 9:
-                raise DataError(f"bad scores.csv row: {line!r}")
-            year = int(parts[1])
-            match_count = int(parts[8])
-            bucket = buckets.get(year)
-            if bucket is None:
-                bucket = buckets[year] = YearBucket(year=year)
-            if match_count == 0:
-                bucket.zero_match_count += 1
-            else:
-                comps = [float(v) for v in parts[2:8]]
-                bucket.vectors.append(MoodVector.from_components(comps, normalized=True))
-    return buckets
+def _read_scores_csv(path: Path) -> list[ScoredRecord]:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            if header != SCORES_HEADER:
+                raise DataError(f"unexpected scores.csv header: {','.join(header)!r}")
+            return [_scores_row(row) for row in reader if row]
+        except (csv.Error, ValueError) as exc:
+            raise DataError(f"bad scores.csv line {reader.line_num}: {exc}") from None
+
+
+def _scores_row(row: list[str]) -> ScoredRecord:
+    if len(row) != len(SCORES_HEADER):
+        raise ValueError(f"expected {len(SCORES_HEADER)} fields, got {len(row)}")
+    return ScoredRecord(row[0], int(row[1]), tuple(float(v) for v in row[2:8]),
+                        int(row[8]))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -237,13 +219,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         scores_path = Path(args.scores)
         if not scores_path.exists():
             raise DataError(f"scores file not found: {scores_path}")
-        buckets = _read_scores_csv(scores_path)
-        if cfg.year_range is not None:
-            lo, hi = cfg.year_range
-            buckets = {y: b for y, b in buckets.items() if lo <= y <= hi}
+        rows = _read_scores_csv(scores_path)
     else:
-        _, _, _, _, buckets = _score_chain(cfg)
-    non_empty = [y for y, b in buckets.items() if b.vectors]
+        *_, rows = _score_chain(cfg)
+    buckets = bucket_scores(rows, cfg.year_range)
+    non_empty = [y for y, b in buckets.items() if len(b.vectors)]
     if len(non_empty) < 2:
         raise DataError(f"need at least two non-empty year buckets, got {len(non_empty)}")
 

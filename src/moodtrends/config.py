@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .corpus import DEFAULT_ENGLISH_THRESHOLD
 from .stats import ALPHA_MARGINAL, ALPHA_SIGNIFICANT
@@ -89,13 +90,16 @@ def _coerce(name: str, value: str, target_type: type) -> object:
         raise ConfigError(f"bad value for {name}: {value!r}") from None
 
 
-_FIELD_TYPES = {
-    "corpus_path": str, "corpus_format": str, "lexicon_path": str,
-    "origin_year": int, "year_min": int, "year_max": int,
-    "english_threshold": float, "alpha_significant": float,
-    "alpha_marginal": float, "output_dir": str, "emit_svg": bool,
-    "top_n": int,
-}
+def _value_type(hint) -> type:
+    """The type a key's value is coerced to: ``int | None`` -> int."""
+    args = [a for a in get_args(hint) if a is not type(None)]
+    return args[0] if args else hint
+
+
+_HINTS = get_type_hints(PipelineConfig)
+# every config key (and CLI override) with its value type, in field order
+KEY_TYPES: dict[str, type] = {f.name: _value_type(_HINTS[f.name])
+                              for f in fields(PipelineConfig)}
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -105,11 +109,10 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def apply_overrides(cfg: PipelineConfig, pairs: dict[str, str | None]) -> PipelineConfig:
-    valid = {f.name for f in fields(PipelineConfig)}
     for key, value in pairs.items():
         if value is None:
             continue
-        if key not in valid:
+        if key not in KEY_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, _coerce(key, str(value), _FIELD_TYPES[key]))
+        setattr(cfg, key, _coerce(key, str(value), KEY_TYPES[key]))
     return cfg

@@ -228,16 +228,11 @@ def parse_corpus_file(path, fmt: str = "tsv"):
         return parse_corpus(fh, fmt=fmt)
 
 
-def load_function_words() -> frozenset[str]:
-    text = resources.files("moodtrends.data").joinpath("function_words.txt").read_text("utf-8")
-    return frozenset(w.strip() for w in text.splitlines()
-                     if w.strip() and not w.startswith("#"))
-
-
-def load_stopwords() -> frozenset[str]:
-    text = resources.files("moodtrends.data").joinpath("stopwords.txt").read_text("utf-8")
-    return frozenset(w.strip() for w in text.splitlines()
-                     if w.strip() and not w.startswith("#"))
+def load_word_list(name: str) -> list[str]:
+    """Words of the bundled ``data/<name>.txt`` in file order, one per line;
+    blank lines and ``#`` comment lines are skipped."""
+    text = resources.files("moodtrends.data").joinpath(f"{name}.txt").read_text("utf-8")
+    return [w.strip() for w in text.splitlines() if w.strip() and not w.startswith("#")]
 
 
 @dataclass
@@ -257,7 +252,7 @@ def filter_english(records: Iterable[EmailRecord],
     and their ids flagged. kept + rejected is always the full input.
     """
     if function_words is None:
-        function_words = load_function_words()
+        function_words = frozenset(load_word_list("function_words"))
     kept: list[EmailRecord] = []
     rejected: list[EmailRecord] = []
     flagged: list[str] = []
@@ -284,7 +279,7 @@ def word_frequency(records: Iterable[EmailRecord], top_n: int,
     if top_n <= 0:
         return []
     if stopwords is None:
-        stopwords = load_stopwords()
+        stopwords = frozenset(load_word_list("stopwords"))
     counts: Counter[str] = Counter()
     for rec in records:
         for tok in tokenize(rec.body):

@@ -177,26 +177,11 @@ class CompiledMatcher:
     max_phrase_len: int
     warnings: list[CompileWarning] = field(default_factory=list)
 
-    def owner_of(self, sequence: tuple[str, ...]) -> str | None:
-        """Main term owning a stem sequence, or None."""
-        if len(sequence) == 1:
-            idx = self.singles.get(sequence[0])
-        else:
-            idx = self.phrases.get(sequence)
-        return None if idx is None else self.main_terms[idx]
-
     def scale_index_of(self, main_index: int) -> int:
         return self._scale_indices[main_index]
 
     def __post_init__(self) -> None:
         self._scale_indices = [SCALE_INDEX[self.scale_of[t]] for t in self.main_terms]
-
-    def same_tables(self, other: "CompiledMatcher") -> bool:
-        return (self.main_terms == other.main_terms
-                and self.scale_of == other.scale_of
-                and self.singles == other.singles
-                and self.phrases == other.phrases
-                and self.max_phrase_len == other.max_phrase_len)
 
 
 def compile_lexicon(lex: MoodLexicon) -> CompiledMatcher:

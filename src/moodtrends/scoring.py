@@ -1,66 +1,30 @@
-"""Document scoring: token stream -> per-main-term counts -> six-dimensional
-mood vector -> unit-normalized vector -> per-delivery-year buckets."""
+"""Document scoring: tokens -> stems -> longest-match-first main-term counts
+-> unit-normalized six-vector, and per-delivery-year buckets holding those
+vectors as one (n, 6) array per year."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .corpus import EmailRecord
-from .lexicon import SCALES, CompiledMatcher, MoodScale
+from .lexicon import SCALE_INDEX, SCALES, CompiledMatcher, MoodScale
 from .textproc import porter_stem, tokenize
 
-
-class ZeroVectorError(ValueError):
-    """Raised when normalizing a vector with no lexicon hits."""
-
-
-@dataclass(frozen=True)
-class MoodVector:
-    """Six non-negative components in fixed scale order."""
-
-    tension: float
-    depression: float
-    anger: float
-    vigor: float
-    fatigue: float
-    confusion: float
-    normalized: bool = False
-
-    def as_tuple(self) -> tuple[float, float, float, float, float, float]:
-        return (self.tension, self.depression, self.anger,
-                self.vigor, self.fatigue, self.confusion)
-
-    def component(self, scale: MoodScale) -> float:
-        return self.as_tuple()[SCALES.index(scale)]
-
-    def norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self.as_tuple()))
-
-    @classmethod
-    def from_components(cls, components: Sequence[float],
-                        normalized: bool = False) -> "MoodVector":
-        t, d, a, v, f, c = components
-        return cls(t, d, a, v, f, c, normalized=normalized)
+# ints, so zero-match rows print as 0 in scores.csv
+_ZERO_COMPONENTS = (0,) * len(SCALES)
 
 
-ZERO_VECTOR = MoodVector(0, 0, 0, 0, 0, 0)
+def match_counts(stems: Sequence[str], matcher: CompiledMatcher) -> list[int]:
+    """Count lexicon matches per main term (indexed like matcher.main_terms).
 
-
-def score_tokens(tokens: Sequence[str], matcher: CompiledMatcher) -> dict[str, int]:
-    """Count lexicon matches over a token sequence.
-
-    The stemmed stream is scanned left to right; at each position the longest
+    The stem sequence is scanned left to right; at each position the longest
     matching stem sequence wins and is consumed whole (matches never
-    overlap), otherwise the scan advances one token. Each match increments
-    its owning main term by 1.
+    overlap), otherwise the scan advances one stem.
     """
-    counts = _score_stems([porter_stem(t) for t in tokens], matcher)
-    return {matcher.main_terms[i]: c for i, c in enumerate(counts) if c}
-
-
-def _score_stems(stems: list[str], matcher: CompiledMatcher) -> list[int]:
     counts = [0] * len(matcher.main_terms)
     singles = matcher.singles
     phrases = matcher.phrases
@@ -88,91 +52,92 @@ def _score_stems(stems: list[str], matcher: CompiledMatcher) -> list[int]:
     return counts
 
 
-def to_mood_vector(scores: dict[str, int], matcher: CompiledMatcher) -> MoodVector:
-    """Apply the scoring key: each scale's component is the sum of counts of
-    the main terms assigned to it. The result is unnormalized."""
-    components = [0.0] * len(SCALES)
-    scale_of = matcher.scale_of
-    for term, count in scores.items():
-        components[SCALES.index(scale_of[term])] += count
-    return MoodVector.from_components(components)
-
-
-def normalize(v: MoodVector) -> MoodVector:
-    """Scale to unit Euclidean length. A zero vector has no direction;
-    raises ZeroVectorError so the caller can exclude the document."""
-    norm = v.norm()
-    if norm == 0.0:
-        raise ZeroVectorError("all six components are zero")
-    return MoodVector.from_components(
-        [c / norm for c in v.as_tuple()], normalized=True)
-
-
-@dataclass
-class YearBucket:
-    """All normalized per-document vectors delivered in one calendar year."""
-
-    year: int
-    vectors: list[MoodVector] = field(default_factory=list)
-    zero_match_count: int = 0
-
-    def components(self, scale: MoodScale) -> list[float]:
-        idx = SCALES.index(scale)
-        return [v.as_tuple()[idx] for v in self.vectors]
-
-    def mean_vector(self) -> tuple[float, ...] | None:
-        if not self.vectors:
-            return None
-        k = len(self.vectors)
-        sums = [0.0] * len(SCALES)
-        for v in self.vectors:
-            for i, c in enumerate(v.as_tuple()):
-                sums[i] += c
-        return tuple(s / k for s in sums)
-
-
 @dataclass(frozen=True)
 class ScoredRecord:
-    """Audit row for one document."""
+    """Audit row for one document: its unit mood vector in scale order, or
+    all zeros when no lexicon term matched (match_count == 0)."""
 
     id: str
     delivery_year: int
-    vector: MoodVector
+    components: tuple[float, ...]
     match_count: int
 
 
 def score_record(rec: EmailRecord, matcher: CompiledMatcher) -> ScoredRecord:
-    stems = [porter_stem(t) for t in tokenize(rec.body)]
-    counts = _score_stems(stems, matcher)
+    """Match the body, sum main-term counts per scale (the scoring key) and
+    scale the result to unit Euclidean length."""
+    counts = match_counts([porter_stem(t) for t in tokenize(rec.body)], matcher)
     total = sum(counts)
     if total == 0:
-        return ScoredRecord(rec.id, rec.delivery_year, ZERO_VECTOR, 0)
+        return ScoredRecord(rec.id, rec.delivery_year, _ZERO_COMPONENTS, 0)
     components = [0.0] * len(SCALES)
     for main_idx, c in enumerate(counts):
         if c:
             components[matcher.scale_index_of(main_idx)] += c
-    vec = normalize(MoodVector.from_components(components))
-    return ScoredRecord(rec.id, rec.delivery_year, vec, total)
+    norm = math.sqrt(sum(c * c for c in components))
+    return ScoredRecord(rec.id, rec.delivery_year,
+                        tuple(c / norm for c in components), total)
+
+
+@dataclass
+class YearBucket:
+    """The unit vectors of one delivery year as a C-order (n, 6) float64
+    array, plus the number of that year's documents with no lexicon hit."""
+
+    year: int
+    vectors: np.ndarray = ()
+    zero_match_count: int = 0
+
+    def __post_init__(self) -> None:
+        self.vectors = np.ascontiguousarray(
+            self.vectors, dtype=np.float64).reshape(-1, len(SCALES))
+
+    def components(self, scale: MoodScale) -> np.ndarray:
+        return self.vectors[:, SCALE_INDEX[scale]]
+
+    def mean_vector(self) -> tuple[float, ...] | None:
+        # column means of a C-order array accumulate row by row, the same
+        # sequential sums a Python loop gives, so outputs stay bit-stable
+        if not len(self.vectors):
+            return None
+        return tuple(self.vectors.mean(axis=0).tolist())
+
+
+def _in_range(year: int, year_range: tuple[int, int] | None) -> bool:
+    return year_range is None or year_range[0] <= year <= year_range[1]
+
+
+def bucket_scores(rows: Iterable[ScoredRecord],
+                  year_range: tuple[int, int] | None = None) -> dict[int, YearBucket]:
+    """Group scored rows by delivery year.
+
+    Zero-match rows are counted per bucket but contribute no vector. Rows
+    outside year_range (inclusive), when given, are skipped.
+    """
+    vectors: dict[int, list[tuple[float, ...]]] = {}
+    zeros: dict[int, int] = {}
+    for row in rows:
+        year = row.delivery_year
+        if not _in_range(year, year_range):
+            continue
+        year_vectors = vectors.setdefault(year, [])
+        if row.match_count == 0:
+            zeros[year] = zeros.get(year, 0) + 1
+        else:
+            year_vectors.append(row.components)
+    return {year: YearBucket(year, vecs, zeros.get(year, 0))
+            for year, vecs in vectors.items()}
+
+
+def score_records(records: Iterable[EmailRecord], matcher: CompiledMatcher,
+                  year_range: tuple[int, int] | None = None) -> list[ScoredRecord]:
+    """score_record over every record delivered within year_range
+    (inclusive, when given); records outside it are not scored."""
+    return [score_record(rec, matcher) for rec in records
+            if _in_range(rec.delivery_year, year_range)]
 
 
 def score_corpus(records: Iterable[EmailRecord], matcher: CompiledMatcher,
                  year_range: tuple[int, int] | None = None) -> dict[int, YearBucket]:
-    """Score every record into the bucket of its delivery year.
-
-    Zero-match documents are counted per bucket but contribute no vector.
-    Records outside year_range (inclusive), when given, are skipped.
-    """
-    buckets: dict[int, YearBucket] = {}
-    for rec in records:
-        year = rec.delivery_year
-        if year_range is not None and not year_range[0] <= year <= year_range[1]:
-            continue
-        bucket = buckets.get(year)
-        if bucket is None:
-            bucket = buckets[year] = YearBucket(year=year)
-        scored = score_record(rec, matcher)
-        if scored.match_count == 0:
-            bucket.zero_match_count += 1
-        else:
-            bucket.vectors.append(scored.vector)
-    return buckets
+    """Score every record in year_range into the bucket of its delivery year."""
+    return bucket_scores(score_records(records, matcher, year_range))

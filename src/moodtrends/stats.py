@@ -4,14 +4,13 @@ global quadratic trend fits."""
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .lexicon import MoodScale
+from .lexicon import SCALE_INDEX, MoodScale
 from .scoring import YearBucket
 
 ALPHA_SIGNIFICANT = 0.05
@@ -56,21 +55,19 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
     D is computed from integer CDF counts at every pooled sample point (ties
     included), so it is exact and symmetric in the two samples.
     """
-    n, m = len(a), len(b)
-    if n < 1 or m < 1:
+    if len(a) < 1 or len(b) < 1:
         raise ValueError("both samples must be non-empty")
-    xs = sorted(a)
-    ys = sorted(b)
-    d_num = 0  # max |i*m - j*n| over pooled evaluation points
-    for x in xs:
-        i = bisect.bisect_right(xs, x)
-        j = bisect.bisect_right(ys, x)
-        d_num = max(d_num, abs(i * m - j * n))
-    for y in ys:
-        i = bisect.bisect_right(xs, y)
-        j = bisect.bisect_right(ys, y)
-        d_num = max(d_num, abs(i * m - j * n))
-    d = d_num / (n * m)
+    return _ks_sorted(np.sort(np.asarray(a, dtype=np.float64)),
+                      np.sort(np.asarray(b, dtype=np.float64)))
+
+
+def _ks_sorted(xs: np.ndarray, ys: np.ndarray) -> KsResult:
+    n, m = len(xs), len(ys)
+    pooled = np.concatenate((xs, ys))
+    # i*m - j*n with i, j the counts of each sample <= every pooled point
+    gaps = (np.searchsorted(xs, pooled, side="right") * m
+            - np.searchsorted(ys, pooled, side="right") * n)
+    d = int(np.abs(gaps).max()) / (n * m)
     if d == 0.0:
         return KsResult(0.0, 1.0, n, m)
     ne = n * m / (n + m)
@@ -116,13 +113,12 @@ def pairwise_ks(buckets: dict[int, YearBucket], dimension: MoodScale,
     """Run the KS test on the per-document components of one dimension for
     every unordered pair of years with non-empty buckets. Years whose bucket
     holds no vectors are skipped and recorded."""
-    years = sorted(buckets)
-    samples: dict[int, list[float]] = {}
+    samples: dict[int, np.ndarray] = {}
     skipped: list[int] = []
-    for y in years:
+    for y in sorted(buckets):
         comps = buckets[y].components(dimension)
-        if comps:
-            samples[y] = comps
+        if len(comps):
+            samples[y] = np.sort(comps)
         else:
             skipped.append(y)
     usable = sorted(samples)
@@ -132,7 +128,7 @@ def pairwise_ks(buckets: dict[int, YearBucket], dimension: MoodScale,
     for ai in range(len(usable)):
         for bi in range(ai + 1, len(usable)):
             ya, yb = usable[ai], usable[bi]
-            result = ks_two_sample(samples[ya], samples[yb])
+            result = _ks_sorted(samples[ya], samples[yb])
             flag = classify_p(result.p_value, alpha_significant, alpha_marginal)
             matrix.cells[(ya, yb)] = result
             matrix.cells[(yb, ya)] = result
@@ -209,13 +205,11 @@ class TrendSeries:
 
 def build_trend(buckets: dict[int, YearBucket], dimension: MoodScale) -> TrendSeries:
     """Per-year means -> z-scores -> quadratic fit on centered year indices."""
-    years = sorted(y for y, b in buckets.items() if b.vectors)
+    years = sorted(y for y, b in buckets.items() if len(b.vectors))
     if len(years) < 3:
         raise ValueError("need at least three non-empty year buckets")
-    raw_means = []
-    for y in years:
-        comps = buckets[y].components(dimension)
-        raw_means.append(sum(comps) / len(comps))
+    col = SCALE_INDEX[dimension]
+    raw_means = [buckets[y].mean_vector()[col] for y in years]
     z_scores, degenerate = zscore_series(raw_means)
     k = len(years)
     center = (k - 1) / 2.0

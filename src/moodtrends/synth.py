@@ -11,10 +11,9 @@ from __future__ import annotations
 import datetime as dt
 import random
 from dataclasses import dataclass
-from importlib import resources
 from typing import Callable, Sequence
 
-from .corpus import EmailRecord
+from .corpus import EmailRecord, load_word_list
 from .lexicon import CompiledMatcher, MoodLexicon, MoodScale, compile_lexicon
 from .textproc import porter_stem, tokenize
 
@@ -80,11 +79,6 @@ def parse_profile(expr: str) -> tuple[Callable[[int], float], str]:
     raise ValueError(f"unknown profile {expr!r}")
 
 
-def load_filler_words() -> list[str]:
-    text = resources.files("moodtrends.data").joinpath("filler_words.txt").read_text("utf-8")
-    return [w.strip() for w in text.splitlines() if w.strip() and not w.startswith("#")]
-
-
 # Every filler slot pairs one of these with a neutral noun so generated
 # bodies always clear the pipeline's function-word-ratio language filter.
 _FUNCTION_FILLERS = (
@@ -145,7 +139,7 @@ def generate_corpus(specs: Sequence[TrendSpec], years: Sequence[int],
             raise ValueError(f"duplicate trend spec for {spec.dimension}")
         seen_dims.add(spec.dimension)
     matcher = compile_lexicon(lexicon)
-    nouns = _safe_fillers(matcher, load_filler_words())
+    nouns = _safe_fillers(matcher, load_word_list("filler_words"))
     function_fillers = _safe_fillers(matcher, _FUNCTION_FILLERS)
 
     compose = dt.date(origin_year, 1, 1)

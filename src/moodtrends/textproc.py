@@ -4,7 +4,6 @@ corpus statistics."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import porter
@@ -35,19 +34,3 @@ def porter_stem(word: str) -> str:
     if "'" in word:
         word = word.replace("'", "")
     return porter.stem(word)
-
-
-@dataclass(frozen=True)
-class Token:
-    """A surface word paired with its stem."""
-
-    surface: str
-    stem: str
-
-    @classmethod
-    def from_surface(cls, surface: str) -> "Token":
-        return cls(surface=surface, stem=porter_stem(surface))
-
-
-def token_stream(text: str) -> list[Token]:
-    return [Token.from_surface(w) for w in tokenize(text)]

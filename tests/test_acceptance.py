@@ -20,16 +20,16 @@ import time
 
 import pytest
 
-from conftest import PORTER_DATA
+from conftest import PORTER_DATA, make_record
 from ks_oracle import exact_perm_p, mc_perm_p, oracle_d
 from moodtrends import porter
 from moodtrends.cli import EXIT_OK, main
 from moodtrends.corpus import filter_english
 from moodtrends.lexicon import SCALES, MoodScale
-from moodtrends.scoring import MoodVector, normalize, score_corpus, score_tokens, to_mood_vector
+from moodtrends.scoring import match_counts, score_corpus, score_record
 from moodtrends.stats import ks_two_sample, pairwise_ks, polyfit2, zscore_series
 from moodtrends.synth import generate_corpus, make_trend_spec
-from moodtrends.textproc import tokenize
+from moodtrends.textproc import porter_stem, tokenize
 
 SEED = 20060101
 
@@ -66,14 +66,18 @@ def test_c1_stemmer_conformance():
 
 
 def test_c2_lexicon_matching_fixture(matcher):
-    counts = score_tokens(tokenize("I have been feeling daunted"), matcher)
-    vector = to_mood_vector(counts, matcher)
-    ok = counts == {"discouraged": 1} and vector.component(MoodScale.DEPRESSION) == 1
+    stems = [porter_stem(t) for t in tokenize("I have been feeling daunted")]
+    per_term = match_counts(stems, matcher)
+    counts = {matcher.main_terms[i]: c for i, c in enumerate(per_term) if c}
+    scale_counts = [0] * len(SCALES)
+    for i, c in enumerate(per_term):
+        scale_counts[matcher.scale_index_of(i)] += c
+    depression = scale_counts[SCALES.index(MoodScale.DEPRESSION)]
+    ok = counts == {"discouraged": 1} and depression == 1
     report(f"2 lexicon-matching-fixture: {'PASS' if ok else 'FAIL'} "
-           f"(counts={counts}, depression component={vector.component(MoodScale.DEPRESSION)})")
+           f"(counts={counts}, depression component={depression})")
     assert counts == {"discouraged": 1}
-    assert vector.as_tuple() == (0, 1, 0, 0, 0, 0)
-    assert not vector.normalized
+    assert tuple(scale_counts) == (0, 1, 0, 0, 0, 0)
 
 
 # --------------------------------------------------------------------------
@@ -81,9 +85,11 @@ def test_c2_lexicon_matching_fixture(matcher):
 
 
 def test_c3_normalization(matcher, default_lexicon):
-    v = normalize(MoodVector(3, 4, 0, 0, 0, 0))
+    # 3 tension hits and 4 depression hits: the (3, 4, 0, 0, 0, 0) count vector
+    v = score_record(make_record("tense tense tense sad sad sad sad"), matcher)
+    assert v.match_count == 7
     exact = all(abs(a - b) <= 1e-12 for a, b in
-                zip(v.as_tuple(), (0.6, 0.8, 0.0, 0.0, 0.0, 0.0)))
+                zip(v.components, (0.6, 0.8, 0.0, 0.0, 0.0, 0.0)))
 
     specs = [make_trend_spec(MoodScale.DEPRESSION, "linear(0.5, 1)", noise_sd=0.7),
              make_trend_spec(MoodScale.VIGOR, "constant(2)", noise_sd=0.7),
@@ -94,8 +100,8 @@ def test_c3_normalization(matcher, default_lexicon):
     worst = 0.0
     count = 0
     for bucket in buckets.values():
-        for vec in bucket.vectors:
-            worst = max(worst, abs(vec.norm() - 1.0))
+        for vec in bucket.vectors.tolist():
+            worst = max(worst, abs(math.sqrt(sum(c * c for c in vec)) - 1.0))
             count += 1
     ok = exact and worst < 1e-9 and count > 100
     report(f"3 normalization: {'PASS' if ok else 'FAIL'} "

@@ -222,6 +222,40 @@ class TestAnalyzeCommand:
             assert (inline / name).read_bytes() == \
                 (from_scores / name).read_bytes(), name
 
+    def test_scores_round_trip_with_csv_special_ids(self, tmp_path, step_corpus):
+        lines = step_corpus.read_text().splitlines()
+        for i, new_id in ((0, "a,1"), (40, 'q"x')):
+            lines[i] = new_id + lines[i][lines[i].index("\t"):]
+        corpus = tmp_path / "ids.tsv"
+        corpus.write_text("\n".join(lines) + "\n")
+        score_out = tmp_path / "score"
+        assert main(["score", "--corpus", str(corpus), "--lexicon", str(LEXICON),
+                     "--output-dir", str(score_out)]) == EXIT_OK
+        ids = [r["id"] for r in read_csv(score_out / "scores.csv")]
+        assert "a,1" in ids and 'q"x' in ids
+        from_scores, inline = tmp_path / "an_scores", tmp_path / "an_inline"
+        assert main(["analyze", "--scores", str(score_out / "scores.csv"),
+                     "--output-dir", str(from_scores)]) == EXIT_OK
+        assert main(["analyze", "--corpus", str(corpus), "--lexicon", str(LEXICON),
+                     "--output-dir", str(inline)]) == EXIT_OK
+        names = sorted(p.name for p in inline.iterdir()
+                       if p.name.startswith(("ks_", "trend_")))
+        assert len(names) == 18
+        for name in names:
+            assert (inline / name).read_bytes() == \
+                (from_scores / name).read_bytes(), name
+
+    def test_malformed_scores_row_exits_2(self, tmp_path, step_corpus, capsys):
+        score_out = tmp_path / "score"
+        assert main(["score", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
+                     "--output-dir", str(score_out)]) == EXIT_OK
+        scores = score_out / "scores.csv"
+        with open(scores, "a") as fh:
+            fh.write("x,2010,0.5,0.5\n")
+        assert main(["analyze", "--scores", str(scores),
+                     "--output-dir", str(tmp_path / "an")]) == EXIT_DATA
+        assert "bad scores.csv line 302" in capsys.readouterr().err
+
     def test_scores_path_respects_year_range(self, tmp_path, step_corpus):
         score_out = tmp_path / "score"
         assert main(["score", "--corpus", str(step_corpus),

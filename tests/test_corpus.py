@@ -13,8 +13,8 @@ from moodtrends.corpus import (REJECT_BAD_DATE, REJECT_BAD_ENCODING,
                                REJECT_BAD_FIELDS, REJECT_BAD_JSON,
                                REJECT_ORDER, EmailRecord, delivery_histogram,
                                escape_body, filter_english,
-                               format_record_line, load_function_words,
-                               load_stopwords, parse_corpus, unescape_body,
+                               format_record_line, load_word_list,
+                               parse_corpus, unescape_body,
                                word_frequency)
 
 
@@ -122,7 +122,7 @@ class TestFilterEnglish:
 
     def test_german_rejected_with_zero_ratio(self):
         body = "der die das und aber nicht heute morgen"
-        words = load_function_words()
+        words = load_word_list("function_words")
         tokens = body.split()
         ratio = sum(1 for t in tokens if t in words) / len(tokens)
         assert ratio == 0.0
@@ -143,7 +143,7 @@ class TestFilterEnglish:
         assert result.flagged_short == [rec.id]
 
     def test_function_word_list_size(self):
-        assert len(load_function_words()) >= 100
+        assert len(set(load_word_list("function_words"))) >= 100
 
     @given(st.lists(st.sampled_from([
         "I hope you will be happy and well",
@@ -180,7 +180,7 @@ class TestWordFrequency:
     def test_stopwords_excluded(self):
         records = [make_record("the the the dear")]
         assert word_frequency(records, top_n=5) == [("dear", 1)]
-        assert "the" in load_stopwords()
+        assert "the" in load_word_list("stopwords")
 
     def test_counts_bounded_by_token_total(self):
         records = [make_record("dear hope dear"), make_record("love")]

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record
-from moodtrends.lexicon import MoodScale, compile_lexicon, load_lexicon
-from moodtrends.scoring import (MoodVector, ZeroVectorError, normalize,
-                                score_corpus, score_record, score_tokens,
-                                to_mood_vector)
-from moodtrends.textproc import tokenize
+from moodtrends.lexicon import SCALES, MoodScale, compile_lexicon, load_lexicon
+from moodtrends.scoring import (ScoredRecord, bucket_scores, match_counts,
+                                score_corpus, score_record)
+from moodtrends.textproc import porter_stem, tokenize
 
 SINGLES_ONLY = """\
 tense | tension
@@ -22,6 +21,8 @@ lively | vigor
 weary | fatigue
 dazed | confusion
 """
+# one single-word term per scale of SINGLES_ONLY, in scale order
+SCALE_WORDS = ("tense", "sad", "angry", "lively", "weary", "dazed")
 
 
 @pytest.fixture(scope="module")
@@ -29,45 +30,61 @@ def singles_matcher():
     return compile_lexicon(load_lexicon(SINGLES_ONLY.splitlines()))
 
 
+def term_counts(tokens, matcher) -> dict[str, int]:
+    """Nonzero match counts keyed by main term."""
+    counts = match_counts([porter_stem(t) for t in tokens], matcher)
+    return {matcher.main_terms[i]: c for i, c in enumerate(counts) if c}
+
+
+def score_counts(scale_counts, matcher) -> ScoredRecord:
+    """Score a body holding scale_counts[k] hits on scale k."""
+    words = [w for w, k in zip(SCALE_WORDS, scale_counts) for _ in range(k)]
+    return score_record(make_record(" ".join(words)), matcher)
+
+
+def norm(components) -> float:
+    return math.sqrt(sum(c * c for c in components))
+
+
 class TestScoreTokens:
     def test_daunted_increments_discouraged(self, matcher):
-        counts = score_tokens(tokenize("I felt daunted today"), matcher)
+        counts = term_counts(tokenize("I felt daunted today"), matcher)
         assert counts == {"discouraged": 1}
 
     def test_repeated_matches_accumulate(self, matcher):
-        counts = score_tokens(tokenize("angrily angrily"), matcher)
+        counts = term_counts(tokenize("angrily angrily"), matcher)
         assert counts == {"angry": 2}
-        counts = score_tokens(tokenize("angry angry angry"), matcher)
+        counts = term_counts(tokenize("angry angry angry"), matcher)
         assert counts == {"angry": 3}
 
     def test_phrase_consumes_its_words(self, matcher):
-        counts = score_tokens(tokenize("he lost momentum yesterday"), matcher)
+        counts = term_counts(tokenize("he lost momentum yesterday"), matcher)
         assert counts == {"discouraged": 1}
 
     def test_longest_match_wins_across_entries(self, matcher):
         # "beat" alone scores tired (fatigue), "beat down" scores discouraged
-        assert score_tokens(tokenize("beat"), matcher) == {"tired": 1}
-        assert score_tokens(tokenize("i feel beat down"), matcher) == {"discouraged": 1}
+        assert term_counts(tokenize("beat"), matcher) == {"tired": 1}
+        assert term_counts(tokenize("i feel beat down"), matcher) == {"discouraged": 1}
 
     def test_no_overlapping_rescan(self, matcher):
         # after consuming "lost momentum", "momentum" is not rescanned
-        counts = score_tokens(tokenize("lost momentum momentum"), matcher)
+        counts = term_counts(tokenize("lost momentum momentum"), matcher)
         assert counts == {"discouraged": 1}
 
     def test_empty_tokens(self, matcher):
-        assert score_tokens([], matcher) == {}
+        assert term_counts([], matcher) == {}
 
     def test_phrase_prefix_at_stream_end_no_match(self, matcher):
         # "full of pep" is a 3-word phrase; a truncated prefix scores nothing
-        assert score_tokens(tokenize("he was full of"), matcher) == {}
-        assert score_tokens(tokenize("lost"), matcher) == {}
+        assert term_counts(tokenize("he was full of"), matcher) == {}
+        assert term_counts(tokenize("lost"), matcher) == {}
 
     def test_phrase_interrupted_by_other_word_no_match(self, matcher):
-        assert score_tokens(tokenize("lost the momentum"), matcher) == {}
+        assert term_counts(tokenize("lost the momentum"), matcher) == {}
 
     def test_inflected_forms_match_by_stem(self, matcher):
-        assert score_tokens(tokenize("worrying"), matcher) == {"worried": 1}
-        assert score_tokens(tokenize("angered"), matcher) == {"angry": 1}
+        assert term_counts(tokenize("worrying"), matcher) == {"worried": 1}
+        assert term_counts(tokenize("angered"), matcher) == {"angry": 1}
 
     @given(st.lists(st.sampled_from(
         ["tense", "sad", "angry", "lively", "weary", "dazed", "table", "run"]),
@@ -76,8 +93,8 @@ class TestScoreTokens:
     def test_single_word_lexicon_permutation_invariant(self, singles_matcher, words):
         shuffled = words[:]
         random.Random(3).shuffle(shuffled)
-        assert (score_tokens(words, singles_matcher)
-                == score_tokens(shuffled, singles_matcher))
+        assert (term_counts(words, singles_matcher)
+                == term_counts(shuffled, singles_matcher))
 
     @given(st.lists(st.sampled_from(
         ["tense", "sad", "angry", "table", "run"]), max_size=20),
@@ -85,66 +102,73 @@ class TestScoreTokens:
             ["lively", "weary", "dazed", "chair"]), max_size=20))
     @settings(max_examples=100)
     def test_additivity_for_single_word_lexicon(self, singles_matcher, left, right):
-        combined = score_tokens(left + right, singles_matcher)
-        a = score_tokens(left, singles_matcher)
-        b = score_tokens(right, singles_matcher)
+        combined = term_counts(left + right, singles_matcher)
+        a = term_counts(left, singles_matcher)
+        b = term_counts(right, singles_matcher)
         merged = dict(a)
         for k, v in b.items():
             merged[k] = merged.get(k, 0) + v
         assert combined == merged
 
 
-class TestToMoodVector:
+class TestScoringKey:
+    """Each scale's component is the sum of the counts of its main terms,
+    before normalization; match_count is the total over all terms."""
+
     def test_scoring_key_application(self, matcher):
-        vec = to_mood_vector({"angry": 2, "discouraged": 1}, matcher)
-        assert vec.as_tuple() == (0, 1, 2, 0, 0, 0)
-        assert not vec.normalized
+        scored = score_record(make_record("angry angry daunted"), matcher)
+        assert scored.match_count == 3
+        assert scored.components == tuple(c / math.sqrt(5) for c in (0, 1, 2, 0, 0, 0))
 
     def test_empty_counts_zero_vector(self, matcher):
-        assert to_mood_vector({}, matcher).as_tuple() == (0, 0, 0, 0, 0, 0)
+        scored = score_record(make_record("the kitchen table"), matcher)
+        assert scored.components == (0, 0, 0, 0, 0, 0)
+        assert scored.match_count == 0
 
     def test_same_scale_terms_sum(self, matcher):
-        vec = to_mood_vector({"sad": 2, "gloomy": 3}, matcher)
-        assert vec.component(MoodScale.DEPRESSION) == 5
+        scored = score_record(make_record("sad sad gloomy gloomy gloomy"), matcher)
+        assert scored.match_count == 5
+        assert scored.components[SCALES.index(MoodScale.DEPRESSION)] == 1.0
 
     def test_total_mass_preserved(self, matcher):
-        counts = {"angry": 2, "discouraged": 1, "tired": 4}
-        vec = to_mood_vector(counts, matcher)
-        assert sum(vec.as_tuple()) == sum(counts.values())
+        body = "angry angry daunted tired tired tired tired"
+        assert score_record(make_record(body), matcher).match_count == 7
 
 
 class TestNormalize:
-    def test_three_four_five(self):
-        vec = normalize(MoodVector(3, 4, 0, 0, 0, 0))
-        assert vec.as_tuple() == (0.6, 0.8, 0.0, 0.0, 0.0, 0.0)
-        assert vec.normalized
+    def test_three_four_five(self, singles_matcher):
+        scored = score_counts((3, 4, 0, 0, 0, 0), singles_matcher)
+        assert scored.components == (0.6, 0.8, 0.0, 0.0, 0.0, 0.0)
 
-    def test_uniform_vector(self):
-        vec = normalize(MoodVector(1, 1, 1, 1, 1, 1))
-        for c in vec.as_tuple():
+    def test_uniform_vector(self, singles_matcher):
+        scored = score_counts((1, 1, 1, 1, 1, 1), singles_matcher)
+        for c in scored.components:
             assert c == pytest.approx(1 / math.sqrt(6), abs=1e-12)
 
-    def test_zero_vector_signals(self):
-        with pytest.raises(ZeroVectorError):
-            normalize(MoodVector(0, 0, 0, 0, 0, 0))
+    def test_zero_vector_signals(self, singles_matcher):
+        # no direction to normalize: flagged by match_count 0 and kept out
+        # of the bucket's vectors
+        scored = score_counts((0, 0, 0, 0, 0, 0), singles_matcher)
+        assert scored.match_count == 0
+        bucket = bucket_scores([scored])[scored.delivery_year]
+        assert bucket.vectors.shape == (0, 6)
+        assert bucket.zero_match_count == 1
 
-    def test_norm_within_tolerance(self):
-        vec = normalize(MoodVector(0.3, 0.01, 7, 2, 0, 5))
-        assert abs(vec.norm() - 1.0) < 1e-9
+    def test_norm_within_tolerance(self, singles_matcher):
+        scored = score_counts((3, 1, 7, 2, 0, 5), singles_matcher)
+        assert abs(norm(scored.components) - 1.0) < 1e-9
 
-    @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=6,
+    @given(st.lists(st.integers(min_value=0, max_value=12), min_size=6,
                     max_size=6),
-           st.floats(min_value=1e-3, max_value=1e3))
-    @settings(max_examples=200)
-    def test_scale_invariance(self, comps, scale_factor):
-        # unnormalized vectors hold integer match counts, so that is the
-        # domain the invariance is promised on
+           st.integers(min_value=2, max_value=5))
+    @settings(max_examples=200, deadline=None)
+    def test_scale_invariance(self, singles_matcher, comps, scale_factor):
+        # repeating every hit scale_factor times leaves the direction as is
         if sum(comps) == 0:
             return
-        comps = [float(c) for c in comps]
-        base = normalize(MoodVector.from_components(comps))
-        scaled = normalize(MoodVector.from_components([c * scale_factor for c in comps]))
-        for x, y in zip(base.as_tuple(), scaled.as_tuple()):
+        base = score_counts(comps, singles_matcher)
+        scaled = score_counts([c * scale_factor for c in comps], singles_matcher)
+        for x, y in zip(base.components, scaled.components):
             assert x == pytest.approx(y, abs=1e-9)
 
 
@@ -157,9 +181,10 @@ class TestScoreCorpus:
         buckets = score_corpus(records, matcher)
         assert set(buckets) == {2010}
         bucket = buckets[2010]
-        assert len(bucket.vectors) == 1
+        assert bucket.vectors.shape == (1, 6)
+        assert bucket.vectors.flags.c_contiguous
         assert bucket.zero_match_count == 1
-        assert bucket.vectors[0].normalized
+        assert norm(bucket.vectors[0]) == pytest.approx(1.0)
 
     def test_empty_input(self, matcher):
         assert score_corpus([], matcher) == {}
@@ -181,8 +206,7 @@ class TestScoreCorpus:
         random.Random(5).shuffle(shuffled)
         b1 = score_corpus(records, matcher)[2012]
         b2 = score_corpus(shuffled, matcher)[2012]
-        assert sorted(v.as_tuple() for v in b1.vectors) == \
-            sorted(v.as_tuple() for v in b2.vectors)
+        assert sorted(b1.vectors.tolist()) == sorted(b2.vectors.tolist())
         assert b1.zero_match_count == b2.zero_match_count
 
     def test_year_range_filter(self, matcher):
@@ -197,5 +221,5 @@ class TestScoreCorpus:
         assert scored.id == rec.id
         assert scored.delivery_year == 2015
         assert scored.match_count == 2
-        assert scored.vector.component(MoodScale.DEPRESSION) == pytest.approx(
+        assert scored.components[SCALES.index(MoodScale.DEPRESSION)] == pytest.approx(
             1 / math.sqrt(2))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import math
 import random
 
@@ -10,15 +11,15 @@ from hypothesis import strategies as st
 
 from ks_oracle import brute_perm_p, exact_perm_p, mc_perm_p, oracle_d
 from moodtrends.lexicon import MoodScale
-from moodtrends.scoring import MoodVector, YearBucket
+from moodtrends.scoring import YearBucket
 from moodtrends.stats import (FLAG_NONE, FLAG_SIGNIFICANT, build_trend,
                               classify_p, ks_two_sample, pairwise_ks,
                               polyfit2, zscore_series)
 
 
-def unit_vector(depression: float) -> MoodVector:
+def unit_vector(depression: float) -> tuple[float, ...]:
     vigor = math.sqrt(max(0.0, 1.0 - depression * depression))
-    return MoodVector(0.0, depression, 0.0, vigor, 0.0, 0.0, normalized=True)
+    return (0.0, depression, 0.0, vigor, 0.0, 0.0)
 
 
 def bucket_of(year: int, depressions: list[float]) -> YearBucket:
@@ -84,6 +85,18 @@ class TestKsTwoSample:
             ks_two_sample([], [1.0])
         with pytest.raises(ValueError):
             ks_two_sample([1.0], [])
+
+    @given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=25),
+           st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]), min_size=1, max_size=25))
+    @settings(max_examples=200)
+    def test_d_equals_bisect_loop_reference(self, a, b):
+        # the per-point bisect loop D was computed with before searchsorted;
+        # heavy ties, as in real mood components
+        n, m = len(a), len(b)
+        xs, ys = sorted(a), sorted(b)
+        d_num = max(abs(bisect.bisect_right(xs, v) * m - bisect.bisect_right(ys, v) * n)
+                    for v in xs + ys)
+        assert ks_two_sample(a, b).d_statistic == d_num / (n * m)
 
     def test_d_matches_scipy_statistic(self):
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -357,6 +370,18 @@ class TestBuildTrend:
         trend = build_trend(buckets, MoodScale.DEPRESSION)
         assert trend.raw_means[0] == pytest.approx(0.3)
         assert trend.raw_means[1] == pytest.approx(0.7)
+
+    def test_raw_means_equal_sequential_sums(self):
+        # buckets.json and the trend read one column mean; it must match a
+        # plain left-to-right float sum bit for bit, whatever the bucket size
+        rng = random.Random(17)
+        for n in (1, 2, 7, 129, 5000):
+            samples = [rng.random() for _ in range(n)]
+            total = 0.0
+            for v in samples:
+                total += v
+            bucket = YearBucket(2010, [unit_vector(v) for v in samples])
+            assert bucket.mean_vector()[1] == total / n
 
     def test_needs_three_nonempty_years(self):
         buckets = {2010: bucket_of(2010, [0.1]), 2011: bucket_of(2011, [0.2])}

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moodtrends import porter
-from moodtrends.textproc import Token, porter_stem, token_stream, tokenize
+from moodtrends.textproc import porter_stem, tokenize
 
 
 class TestTokenize:
@@ -99,14 +99,10 @@ class TestPorterWrapper:
         assert porter_stem("don't") == porter.stem("dont")
         assert porter_stem("it's") == porter.stem("its")
 
-    def test_token_dataclass(self):
-        tok = Token.from_surface("angrily")
-        assert tok.surface == "angrily"
-        assert tok.stem == "angrili"
-
     def test_token_stream(self):
-        toks = token_stream("Feeling daunted today")
-        assert [(t.surface, t.stem) for t in toks] == [
+        # the surface -> stem pairing that lexicon compilation and scoring share
+        toks = tokenize("Feeling daunted today")
+        assert [(t, porter_stem(t)) for t in toks] == [
             ("feeling", "feel"), ("daunted", "daunt"), ("today", "todai")]
 
 
