@@ -18,7 +18,7 @@ from . import scoring, stats, svg, synth
 from .config import (KEY_TYPES, ConfigError, PipelineConfig, apply_overrides,
                      load_config, parse_kv_file)
 from .corpus import parse_corpus_file
-from .lexicon import SCALES, LexiconError, MoodScale, compile_lexicon, load_lexicon_file
+from .lexicon import SCALES, LexiconError, compile_lexicon, load_lexicon_file
 from .scoring import ScoredRecord, YearBucket, bucket_scores
 from .textproc import porter_stem, tokenize
 
@@ -275,63 +275,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_synth_spec(path: Path):
-    pairs = parse_kv_file(path)
-    known = {"years", "emails_per_year", "origin_year", "seed", "noise_sd"}
-    trend_specs: list[tuple[MoodScale, str]] = []
-    noise_by_scale: dict[MoodScale, float] = {}
-    plain: dict[str, str] = {}
-    for key, value in pairs.items():
-        if key.startswith("trend."):
-            label = key.split(".", 1)[1]
-            try:
-                scale = MoodScale(label)
-            except ValueError:
-                raise ConfigError(f"unknown scale in {key!r}") from None
-            trend_specs.append((scale, value))
-        elif key.startswith("noise_sd."):
-            label = key.split(".", 1)[1]
-            try:
-                scale = MoodScale(label)
-            except ValueError:
-                raise ConfigError(f"unknown scale in {key!r}") from None
-            noise_by_scale[scale] = float(value)
-        elif key in known:
-            plain[key] = value
-        else:
-            raise ConfigError(f"unknown synth spec key {key!r}")
-    if "years" not in plain:
-        raise ConfigError("synth spec needs a years = MIN-MAX line")
-    lo, sep, hi = plain["years"].partition("-")
-    try:
-        year_lo, year_hi = int(lo), int(hi) if sep else int(lo)
-    except ValueError:
-        raise ConfigError(f"bad years value {plain['years']!r}") from None
-    if year_hi < year_lo:
-        raise ConfigError(f"empty year range {plain['years']!r}")
-    if not trend_specs:
-        raise ConfigError("synth spec defines no trend.<scale> lines")
-    default_noise = float(plain.get("noise_sd", "0"))
-    specs = []
-    for scale, expr in trend_specs:
-        specs.append(synth.make_trend_spec(
-            scale, expr, noise_sd=noise_by_scale.get(scale, default_noise)))
-    return {
-        "specs": specs,
-        "years": range(year_lo, year_hi + 1),
-        "emails_per_year": int(plain.get("emails_per_year", "10")),
-        "origin_year": int(plain["origin_year"]) if "origin_year" in plain else None,
-        "seed": int(plain.get("seed", "0")),
-    }
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     spec_path = Path(args.spec)
     if not spec_path.exists():
         raise DataError(f"synth spec not found: {spec_path}")
     try:
-        parsed = _parse_synth_spec(spec_path)
-    except (ConfigError, ValueError) as exc:
+        parsed = synth.parse_synth_spec(parse_kv_file(spec_path))
+    except ValueError as exc:
         raise DataError(f"bad synth spec: {exc}") from exc
     if args.seed is not None:
         parsed["seed"] = args.seed
@@ -344,9 +294,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         from .lexicon import load_default_lexicon
         lexicon = load_default_lexicon()
     try:
-        records = synth.generate_corpus(
-            parsed["specs"], parsed["years"], parsed["emails_per_year"],
-            lexicon, parsed["seed"], origin_year=parsed["origin_year"])
+        records = synth.generate_corpus(lexicon=lexicon, **parsed)
     except ValueError as exc:
         raise DataError(f"generation failed: {exc}") from exc
     out_path = Path(args.out)

@@ -20,7 +20,6 @@ class PipelineConfig:
     corpus_path: str | None = None
     corpus_format: str = "tsv"
     lexicon_path: str | None = None
-    origin_year: int | None = None
     year_min: int | None = None
     year_max: int | None = None
     english_threshold: float = DEFAULT_ENGLISH_THRESHOLD

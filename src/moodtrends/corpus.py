@@ -8,11 +8,16 @@ tsv (delimited records, the native format)::
     id<TAB>compose_date<TAB>delivery_date<TAB>body
 
   Dates are ISO-8601 (YYYY-MM-DD). The body is backslash-escaped: ``\\t``,
-  ``\\n``, ``\\r``, ``\\\\``. One record per line.
+  ``\\n``, ``\\r``, ``\\\\``. One record per line; the id is trimmed.
 
 jsonl (one JSON object per line)::
 
     {"id": ..., "compose_date": "YYYY-MM-DD", "delivery_date": ..., "body": ...}
+
+  All four values must be JSON strings.
+
+In both formats a record id is non-empty and holds no tab or line break, so
+it fits on one line of every output file. Lines end at LF or CRLF.
 
 Malformed lines never abort a parse; each produces a rejection report with
 its line number and a stable reason code.
@@ -21,7 +26,9 @@ its line number and a stable reason code.
 from __future__ import annotations
 
 import datetime as dt
+import io
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -47,12 +54,6 @@ class EmailRecord:
     compose_date: dt.date
     delivery_date: dt.date
     body: str
-
-    def __post_init__(self) -> None:
-        if self.delivery_date < self.compose_date:
-            raise ValueError(
-                f"record {self.id!r}: delivery {self.delivery_date} precedes "
-                f"compose {self.compose_date}")
 
     @property
     def delivery_year(self) -> int:
@@ -87,7 +88,6 @@ class CorpusStats:
     per_year_counts: dict[int, int] = field(default_factory=dict)
     mean_lag_years: dict[int, float] = field(default_factory=dict)
     total_records: int = 0
-    rejected_language: int = 0
     rejected_encoding: int = 0
 
     def to_json_dict(self) -> dict:
@@ -95,7 +95,6 @@ class CorpusStats:
             "per_year_counts": {str(y): c for y, c in sorted(self.per_year_counts.items())},
             "mean_lag_years": {str(y): v for y, v in sorted(self.mean_lag_years.items())},
             "total_records": self.total_records,
-            "rejected_language": self.rejected_language,
             "rejected_encoding": self.rejected_encoding,
         }
 
@@ -103,39 +102,21 @@ class CorpusStats:
         return sorted(self.per_year_counts.items())
 
 
-_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_ESCAPE_TABLE = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
+_UNESCAPES = {"t": "\t", "n": "\n", "r": "\r"}
+_JSON_KEYS = ("id", "compose_date", "delivery_date", "body")
 
 
 def escape_body(body: str) -> str:
-    out = []
-    for ch in body:
-        out.append(_ESCAPES.get(ch, ch))
-    return "".join(out)
+    return body.translate(_ESCAPE_TABLE)
 
 
 def unescape_body(text: str) -> str:
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n:
-            nxt = text[i + 1]
-            if nxt == "t":
-                out.append("\t")
-            elif nxt == "n":
-                out.append("\n")
-            elif nxt == "r":
-                out.append("\r")
-            elif nxt == "\\":
-                out.append("\\")
-            else:
-                out.append(nxt)
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """Inverse of escape_body: ``\\t``, ``\\n`` and ``\\r`` become control
+    characters, any other escaped character stands for itself, and a trailing
+    lone backslash is kept."""
+    return _ESCAPED.sub(lambda m: _UNESCAPES.get(m[1], m[1]), text)
 
 
 def format_record_line(rec: EmailRecord) -> str:
@@ -143,16 +124,57 @@ def format_record_line(rec: EmailRecord) -> str:
             f"\t{rec.delivery_date.isoformat()}\t{escape_body(rec.body)}")
 
 
-def _build_record(rec_id: str, compose: str, delivery: str, body: str,
-                  line_no: int) -> EmailRecord | RejectionReport:
+class _Rejected(Exception):
+    """A line's rejection; args are (record_id, code, detail), the
+    RejectionReport fields after line_no."""
+
+
+def _fields(line: str, fmt: str) -> tuple[str, str, str, str]:
+    """(id, compose, delivery, body) of one decoded line of either format."""
+    if fmt == "tsv":
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise _Rejected(parts[0], REJECT_BAD_FIELDS,
+                            f"expected 4 tab-separated fields, got {len(parts)}")
+        rec_id, compose, delivery, body = parts
+        return rec_id.strip(), compose, delivery, unescape_body(body)
+    try:
+        obj = json.loads(line)
+    # ValueError covers JSONDecodeError and integer literals over the
+    # int-to-str digit limit; RecursionError comes from deep nesting
+    except (ValueError, RecursionError) as exc:
+        raise _Rejected("", REJECT_BAD_JSON, str(exc)) from None
+    if not isinstance(obj, dict):
+        raise _Rejected("", REJECT_BAD_JSON, "line is not a JSON object")
+    rec_id = obj.get("id")
+    rec_id = rec_id if isinstance(rec_id, str) else ""
+    missing = [k for k in _JSON_KEYS if k not in obj]
+    if missing:
+        raise _Rejected(rec_id, REJECT_BAD_FIELDS, f"missing fields: {', '.join(missing)}")
+    not_strings = [k for k in _JSON_KEYS if not isinstance(obj[k], str)]
+    if not_strings:
+        raise _Rejected(rec_id, REJECT_BAD_FIELDS,
+                        f"fields are not strings: {', '.join(not_strings)}")
+    return obj["id"], obj["compose_date"], obj["delivery_date"], obj["body"]
+
+
+def _parse_line(raw_line: bytes, fmt: str) -> EmailRecord:
+    try:
+        line = raw_line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _Rejected("", REJECT_BAD_ENCODING, str(exc)) from None
+    rec_id, compose, delivery, body = _fields(line, fmt)
+    if not rec_id.strip():
+        raise _Rejected("", REJECT_BAD_FIELDS, "empty record id")
+    if any(ch in rec_id for ch in "\t\r\n"):
+        raise _Rejected("", REJECT_BAD_FIELDS, "record id contains a tab or line break")
     try:
         compose_date = dt.date.fromisoformat(compose.strip())
         delivery_date = dt.date.fromisoformat(delivery.strip())
     except ValueError as exc:
-        return RejectionReport(line_no, rec_id, REJECT_BAD_DATE, str(exc))
+        raise _Rejected(rec_id, REJECT_BAD_DATE, str(exc)) from None
     if delivery_date < compose_date:
-        return RejectionReport(line_no, rec_id, REJECT_ORDER,
-                               "delivery precedes compose")
+        raise _Rejected(rec_id, REJECT_ORDER, "delivery precedes compose")
     return EmailRecord(id=rec_id, compose_date=compose_date,
                        delivery_date=delivery_date, body=body)
 
@@ -162,64 +184,27 @@ def parse_corpus(data: bytes | BinaryIO,
     """Parse a byte stream into records plus per-line rejection reports.
 
     fmt is "tsv" (delimited records) or "jsonl" (one JSON object per line).
-    Undecodable lines are rejected with the unknown-character-encoding code;
-    the parse itself never raises on malformed content.
+    Lines end at ``\\n``; one ``\\r`` before it is dropped, so CRLF files
+    parse like LF files. The stream is read one line at a time. Undecodable
+    lines are rejected with the unknown-character-encoding code; the parse
+    itself never raises on malformed content.
     """
     if fmt not in ("tsv", "jsonl"):
         raise ValueError(f"unknown corpus format {fmt!r}")
-    raw = data if isinstance(data, bytes) else data.read()
-    if not isinstance(raw, bytes):
+    if isinstance(data, io.TextIOBase):
         raise TypeError("parse_corpus expects bytes or a binary stream; "
                         "open corpus files with mode 'rb'")
+    stream = io.BytesIO(data) if isinstance(data, bytes) else data
     records: list[EmailRecord] = []
     rejections: list[RejectionReport] = []
-    for line_no, raw_line in enumerate(raw.split(b"\n"), start=1):
+    for line_no, raw_line in enumerate(stream, 1):
         if not raw_line.strip():
             continue
+        raw_line = raw_line.removesuffix(b"\n").removesuffix(b"\r")
         try:
-            line = raw_line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            rejections.append(RejectionReport(
-                line_no, "", REJECT_BAD_ENCODING, str(exc)))
-            continue
-        if fmt == "tsv":
-            parts = line.split("\t")
-            if len(parts) != 4:
-                rejections.append(RejectionReport(
-                    line_no, parts[0] if parts else "", REJECT_BAD_FIELDS,
-                    f"expected 4 tab-separated fields, got {len(parts)}"))
-                continue
-            rec_id, compose, delivery, body = parts
-            if not rec_id.strip():
-                rejections.append(RejectionReport(
-                    line_no, "", REJECT_BAD_FIELDS, "empty record id"))
-                continue
-            result = _build_record(rec_id.strip(), compose, delivery,
-                                   unescape_body(body), line_no)
-        else:
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                rejections.append(RejectionReport(line_no, "", REJECT_BAD_JSON, str(exc)))
-                continue
-            if not isinstance(obj, dict):
-                rejections.append(RejectionReport(
-                    line_no, "", REJECT_BAD_JSON, "line is not a JSON object"))
-                continue
-            missing = [k for k in ("id", "compose_date", "delivery_date", "body")
-                       if k not in obj]
-            if missing:
-                rejections.append(RejectionReport(
-                    line_no, str(obj.get("id", "")), REJECT_BAD_FIELDS,
-                    f"missing fields: {', '.join(missing)}"))
-                continue
-            result = _build_record(str(obj["id"]), str(obj["compose_date"]),
-                                   str(obj["delivery_date"]), str(obj["body"]),
-                                   line_no)
-        if isinstance(result, RejectionReport):
-            rejections.append(result)
-        else:
-            records.append(result)
+            records.append(_parse_line(raw_line, fmt))
+        except _Rejected as rej:
+            rejections.append(RejectionReport(line_no, *rej.args))
     return records, rejections
 
 
@@ -290,7 +275,6 @@ def word_frequency(records: Iterable[EmailRecord], top_n: int,
 
 
 def delivery_histogram(records: Iterable[EmailRecord],
-                       rejected_language: int = 0,
                        rejected_encoding: int = 0) -> CorpusStats:
     """Per-delivery-year counts and per-origin-year mean lag in fractional
     years. An empty record list yields all-zero stats."""
@@ -307,5 +291,4 @@ def delivery_histogram(records: Iterable[EmailRecord],
         lag_n[oy] = lag_n.get(oy, 0) + 1
     mean_lag = {y: lag_sum[y] / lag_n[y] for y in lag_sum}
     return CorpusStats(per_year_counts=per_year, mean_lag_years=mean_lag,
-                       total_records=total, rejected_language=rejected_language,
-                       rejected_encoding=rejected_encoding)
+                       total_records=total, rejected_encoding=rejected_encoding)

@@ -57,6 +57,55 @@ def make_trend_spec(dimension: MoodScale, profile_expr: str,
                      noise_sd=noise_sd)
 
 
+def _spec_scale(key: str) -> MoodScale:
+    """The scale named after the dot of a ``trend.`` or ``noise_sd.`` key."""
+    try:
+        return MoodScale(key.split(".", 1)[1])
+    except ValueError:
+        raise ValueError(f"unknown scale in {key!r}") from None
+
+
+def parse_synth_spec(pairs: dict[str, str]) -> dict:
+    """generate_corpus keyword arguments, all but the lexicon, from the
+    ``key = value`` pairs of a synth spec file. Raises ValueError on an
+    unknown key or scale, a bad value, or a spec without a years line or
+    without trend lines."""
+    known = {"years", "emails_per_year", "origin_year", "seed", "noise_sd"}
+    trend_specs: list[tuple[MoodScale, str]] = []
+    noise_by_scale: dict[MoodScale, float] = {}
+    plain: dict[str, str] = {}
+    for key, value in pairs.items():
+        if key.startswith("trend."):
+            trend_specs.append((_spec_scale(key), value))
+        elif key.startswith("noise_sd."):
+            noise_by_scale[_spec_scale(key)] = float(value)
+        elif key in known:
+            plain[key] = value
+        else:
+            raise ValueError(f"unknown synth spec key {key!r}")
+    if "years" not in plain:
+        raise ValueError("synth spec needs a years = MIN-MAX line")
+    lo, sep, hi = plain["years"].partition("-")
+    try:
+        year_lo, year_hi = int(lo), int(hi) if sep else int(lo)
+    except ValueError:
+        raise ValueError(f"bad years value {plain['years']!r}") from None
+    if year_hi < year_lo:
+        raise ValueError(f"empty year range {plain['years']!r}")
+    if not trend_specs:
+        raise ValueError("synth spec defines no trend.<scale> lines")
+    default_noise = float(plain.get("noise_sd", "0"))
+    return {
+        "specs": [make_trend_spec(scale, expr,
+                                  noise_sd=noise_by_scale.get(scale, default_noise))
+                  for scale, expr in trend_specs],
+        "years": range(year_lo, year_hi + 1),
+        "emails_per_year": int(plain.get("emails_per_year", "10")),
+        "origin_year": int(plain["origin_year"]) if "origin_year" in plain else None,
+        "seed": int(plain.get("seed", "0")),
+    }
+
+
 def parse_profile(expr: str) -> tuple[Callable[[int], float], str]:
     text = expr.strip().lower()
     if "(" not in text or not text.endswith(")"):

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_record
 from moodtrends.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from moodtrends.corpus import format_record_line
+from moodtrends.corpus import format_record_line, parse_corpus_file
 
 STEP_SPEC = """\
 years = 2007-2016
@@ -244,6 +244,22 @@ class TestAnalyzeCommand:
         for name in names:
             assert (inline / name).read_bytes() == \
                 (from_scores / name).read_bytes(), name
+
+    def test_jsonl_id_with_carriage_return_rejected(self, tmp_path, step_corpus):
+        records, _ = parse_corpus_file(step_corpus)
+        objs = [{"id": r.id, "compose_date": r.compose_date.isoformat(),
+                 "delivery_date": r.delivery_date.isoformat(), "body": r.body}
+                for r in records]
+        objs[0]["id"] = "a\rb"
+        corpus = tmp_path / "cr.jsonl"
+        corpus.write_text("".join(json.dumps(o) + "\n" for o in objs))
+        score_out = tmp_path / "score"
+        assert main(["score", "--corpus", str(corpus), "--corpus-format", "jsonl",
+                     "--lexicon", str(LEXICON), "--output-dir", str(score_out)]) == EXIT_OK
+        assert main(["analyze", "--scores", str(score_out / "scores.csv"),
+                     "--output-dir", str(tmp_path / "an")]) == EXIT_OK
+        rejections = (score_out / "rejections.txt").read_text().splitlines()
+        assert rejections[0].split("\t")[:3] == ["1", "", "malformed-record"]
 
     def test_malformed_scores_row_exits_2(self, tmp_path, step_corpus, capsys):
         score_out = tmp_path / "score"

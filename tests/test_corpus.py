@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_record
 from moodtrends.corpus import (REJECT_BAD_DATE, REJECT_BAD_ENCODING,
                                REJECT_BAD_FIELDS, REJECT_BAD_JSON,
-                               REJECT_ORDER, EmailRecord, delivery_histogram,
+                               REJECT_ORDER, delivery_histogram,
                                escape_body, filter_english,
                                format_record_line, load_word_list,
                                parse_corpus, unescape_body,
@@ -21,6 +21,18 @@ from moodtrends.corpus import (REJECT_BAD_DATE, REJECT_BAD_ENCODING,
 def tsv_line(rec_id="a1", compose="2006-03-01", delivery="2016-03-01",
              body="hello"):
     return f"{rec_id}\t{compose}\t{delivery}\t{body}"
+
+
+JSONL_TEMPLATE = ('{"id": "ID", "compose_date": "2006-05-05", '
+                  '"delivery_date": "2008-01-02", "body": "BODY"}')
+
+# well-formed and near-miss lines mixed into the arbitrary-bytes property
+LINE_SEEDS = [
+    tsv_line().encode(), tsv_line(body="a\\b\\").encode(), b"\r", b"  \t ",
+    tsv_line(rec_id="a\rb").encode(), tsv_line(compose="2020-01-01").encode(),
+    JSONL_TEMPLATE.encode(), JSONL_TEMPLATE.replace('"ID"', "null").encode(),
+    b"[" * 2000, b"\xff\xfe",
+]
 
 
 class TestParseCorpus:
@@ -106,10 +118,84 @@ class TestParseCorpus:
         data = (tsv_line() + "\nbroken\n" + tsv_line(rec_id="z9")).encode()
         assert parse_corpus(data) == parse_corpus(data)
 
-    def test_record_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            EmailRecord(id="bad", compose_date=dt.date(2010, 1, 1),
-                        delivery_date=dt.date(2009, 1, 1), body="x")
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    def test_crlf_parses_like_lf(self, fmt):
+        lines = [tsv_line(body="tab\\there"), tsv_line(rec_id="b2", compose="x"), ""]
+        if fmt == "jsonl":
+            lines = [json.dumps({"id": "j1", "compose_date": "2006-05-05",
+                                 "delivery_date": "2008-01-02", "body": "a\nb"}),
+                     '{"id": "j2"}', ""]
+        lf = "\n".join(lines).encode()
+        crlf = lf.replace(b"\n", b"\r\n")
+        records, rejections = parse_corpus(crlf, fmt=fmt)
+        assert (records, rejections) == parse_corpus(lf, fmt=fmt)
+        assert len(records) == 1 and len(rejections) == 1
+
+    @pytest.mark.parametrize("fmt,line", [
+        ("jsonl", JSONL_TEMPLATE.replace('"ID"', "null")),
+        ("jsonl", JSONL_TEMPLATE.replace('"ID"', "7")),
+        ("jsonl", JSONL_TEMPLATE.replace('"ID"', '""')),
+        ("jsonl", JSONL_TEMPLATE.replace('"ID"', '"a\\rb"')),
+        ("jsonl", JSONL_TEMPLATE.replace('"ID"', '"ok"').replace('"BODY"', "null")),
+        ("tsv", tsv_line(rec_id="a\rb")),
+    ], ids=["null-id", "int-id", "empty-id", "cr-id", "null-body", "tsv-cr-id"])
+    def test_bad_id_or_non_string_field_rejected(self, fmt, line):
+        records, rejections = parse_corpus(line.encode(), fmt=fmt)
+        assert records == []
+        assert [(r.line_no, r.code) for r in rejections] == [(1, REJECT_BAD_FIELDS)]
+
+    @pytest.mark.parametrize("bad", [b"[" * 100000, b'{"id": ' + b"1" * 5000 + b"}"],
+                             ids=["deep-nesting", "huge-int"])
+    def test_json_the_decoder_refuses_rejected(self, bad):
+        good = JSONL_TEMPLATE.replace('"ID"', '"ok"').encode()
+        records, rejections = parse_corpus(bad + b"\n" + good, fmt="jsonl")
+        assert [r.id for r in records] == ["ok"]
+        assert [(r.line_no, r.code) for r in rejections] == [(1, REJECT_BAD_JSON)]
+
+    @given(st.lists(st.one_of(st.binary(max_size=60), st.sampled_from(LINE_SEEDS)),
+                    max_size=8),
+           st.sampled_from([b"\n", b"\r\n"]), st.sampled_from(["tsv", "jsonl"]))
+    @settings(max_examples=300)
+    def test_every_non_blank_line_accounted_for(self, lines, eol, fmt):
+        data = eol.join(lines)
+        records, rejections = parse_corpus(data, fmt=fmt)
+        non_blank = sum(1 for line in data.split(b"\n") if line.strip())
+        assert len(records) + len(rejections) == non_blank
+        for rec in records:
+            assert rec.id.strip() and not set(rec.id) & set("\t\r\n")
+            assert rec.delivery_date >= rec.compose_date
+
+
+def old_unescape_body(text: str) -> str:
+    """The character-loop decoder the regex codec replaced; the reference."""
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\\" and i + 1 < n:
+            nxt = text[i + 1]
+            if nxt == "t":
+                out.append("\t")
+            elif nxt == "n":
+                out.append("\n")
+            elif nxt == "r":
+                out.append("\r")
+            elif nxt == "\\":
+                out.append("\\")
+            else:
+                out.append(nxt)
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+@given(st.text(st.one_of(st.sampled_from("\\\\tnr\n"), st.characters()), max_size=80))
+@settings(max_examples=500)
+def test_unescape_matches_character_loop(text):
+    assert unescape_body(text) == old_unescape_body(text)
 
 
 class TestFilterEnglish:

@@ -1,4 +1,5 @@
-"""Golden outputs: sha256 of every score/analyze file on one seeded corpus.
+"""Golden outputs: sha256 of every score/analyze file on one seeded corpus,
+and of every ingest-dependent file on one hand-written corpus.
 
 The corpus has planted trends with noise, so year means are not trivially
 exact and a last-bit change in scoring, bucketing or summation shows up
@@ -6,7 +7,9 @@ exact and a last-bit change in scoring, bucketing or summation shows up
 fit coefficients come from LAPACK and may differ in the last bit between
 builds.
 The digests were recorded before the columnar-scores refactor; any change
-to them is output drift between versions, not just between runs.
+to them is output drift between versions, not just between runs. The ingest
+digests were recorded before the ingest rewrite (regex codec, one record
+validator) in the same way.
 """
 
 from __future__ import annotations
@@ -97,3 +100,57 @@ def test_golden_file_set(golden_run):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(golden_run, name):
     assert golden_run[name] == GOLDEN[name]
+
+
+# Bodies hold every escape the codec knows, an unknown escape (\q reads as q)
+# and a trailing lone backslash; the tail of the file has one line per TSV
+# rejection code, a blank line, a non-English letter and a short one.
+INGEST_LINES = [
+    b"e1\t2006-01-15\t2010-06-01\tDear me,\\nI hope you are not so anxious"
+    b" and tense any more.\\tWe were sad\\r\\nand tired, and I was angry.",
+    b"e2\t2006-02-01\t2010-09-30\tA back\\\\slash, a \\qunknown escape and"
+    b" my cheerful, lively, energetic self at the end \\",
+    b"  e3 \t2007-03-03\t2011-01-01\tI was so confused and worried that"
+    b" the happy days would end.\\n\\nLove, me \\\\ you",
+    b"e4\t2007-05-05\t2011-12-31\tder die das und aber nicht heute morgen wieder",
+    b"e5\t2008-01-01\t2012-01-01\tshort note",
+    b"e6\t2008-06-30\t2012-07-04\tToday I feel tense\\\\nervous and weary,"
+    b" so weary of the \\\"news\\\" that I cannot sleep.",
+    b"",
+    b"bad-enc\t2006-01-01\t2010-01-01\t\xff\xfe broken",
+    b"two\tfields",
+    b" \t2006-01-01\t2010-01-01\tempty id",
+    b"bad-date\t2006-13-01\t2010-01-01\tbody",
+    b"order\t2012-01-01\t2010-01-01\tbody",
+]
+
+INGEST_GOLDEN = {
+    "histogram.csv":
+        "2c738bbb46461cc427cbad2154d8c673a4e8741b4167eed83d04d444ac4f013a",
+    "mean_lag.csv":
+        "c6e9aa90366174a3cf9c5646c68c8a6e2e5735272f47fea282c8f29b3b17277b",
+    "rejections.txt":
+        "61ff0734c88710b09115d970c9c913b3064a9fb2b998241977117ac3e9455818",
+    "scores.csv":
+        "b75e6bd199d1db5436e4e416e1f915a5ce49945d96b9c1234fdedc7c9236f57f",
+    "wordfreq.csv":
+        "05715cc8c6a5bb513dcecb837c161156c412a7aab180dc2e677020c016f681b8",
+}
+
+
+@pytest.fixture(scope="module")
+def ingest_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ingest")
+    corpus = root / "letters.tsv"
+    corpus.write_bytes(b"\n".join(INGEST_LINES) + b"\n")
+    out = root / "out"
+    assert main(["stats", "--corpus", str(corpus), "--top-n", "100",
+                 "--output-dir", str(out)]) == EXIT_OK
+    assert main(["score", "--corpus", str(corpus), "--lexicon", str(LEXICON),
+                 "--output-dir", str(out)]) == EXIT_OK
+    return {name: _sha(out / name) for name in INGEST_GOLDEN}
+
+
+@pytest.mark.parametrize("name", sorted(INGEST_GOLDEN))
+def test_ingest_golden_digest(ingest_run, name):
+    assert ingest_run[name] == INGEST_GOLDEN[name]
