@@ -8,17 +8,21 @@ Exit codes: 0 success, 1 usage/config error, 2 data validation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import corpus as corpus_mod
 from . import scoring, stats, svg, synth
 from .config import (KEY_TYPES, ConfigError, PipelineConfig, apply_overrides,
                      load_config, parse_kv_file)
 from .corpus import parse_corpus_file
-from .lexicon import SCALES, LexiconError, compile_lexicon, load_lexicon_file
+from .lexicon import (SCALES, LexiconError, compile_lexicon, load_default_lexicon,
+                      load_lexicon_file)
 from .scoring import ScoredRecord, YearBucket, bucket_scores
 from .textproc import porter_stem, tokenize
 
@@ -35,34 +39,54 @@ class DataError(Exception):
     pass
 
 
-class _UsageExit(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; the CLI contract reserves 2 for
     # data errors, so route usage problems through exit code 1 instead
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
-        raise _UsageExit(message)
+        raise UsageError(message)
 
 
-def _sig6(x: float) -> str:
-    return f"{x:.6g}"
+@contextlib.contextmanager
+def _reading(what: str, path, error: type[Exception] = DataError):
+    """Guard for every input file: a missing, unreadable or non-UTF-8 file
+    becomes one ``cannot read`` error (DataError, or ConfigError for the
+    config file)."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise error(f"cannot read {what} {path}: {reason}") from None
 
 
-def _p4(p: float) -> str:
-    return f"{p:.4f}"
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """Writer for every output file: a text handle on the hidden sibling
+    ``.<name>.tmp`` (parent directories are made as needed), moved onto path
+    when the block ends. path holds either its old bytes or all of the new
+    ones; the temp file never outlives the block."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    with _replacing(path) as fh:
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    overrides = {}
-    for key in KEY_TYPES:
-        value = getattr(args, key, None)
-        if value is not None and value is not False:
-            overrides[key] = value
-    apply_overrides(cfg, overrides)
+    if args.config:
+        with _reading("config", args.config, ConfigError):
+            cfg = load_config(args.config)
+    else:
+        cfg = PipelineConfig()
+    apply_overrides(cfg, {k: v for k, v in vars(args).items() if k in KEY_TYPES})
     cfg.validate()
     return cfg
 
@@ -70,27 +94,19 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
 def _load_records(cfg: PipelineConfig):
     if not cfg.corpus_path:
         raise UsageError("no corpus path given (flag --corpus or config corpus_path)")
-    path = Path(cfg.corpus_path)
-    if not path.exists():
-        raise DataError(f"corpus file not found: {path}")
-    try:
-        records, rejections = parse_corpus_file(path, fmt=cfg.corpus_format)
-    except OSError as exc:
-        raise DataError(f"cannot read corpus: {exc}") from exc
-    return records, rejections
+    with _reading("corpus", cfg.corpus_path):
+        return parse_corpus_file(cfg.corpus_path, fmt=cfg.corpus_format)
+
+
+def _load_lexicon(path):
+    with _reading("lexicon", path):
+        return load_lexicon_file(path)
 
 
 def _load_matcher(cfg: PipelineConfig):
     if not cfg.lexicon_path:
         raise UsageError("no lexicon path given (flag --lexicon or config lexicon_path)")
-    path = Path(cfg.lexicon_path)
-    if not path.exists():
-        raise DataError(f"lexicon file not found: {path}")
-    try:
-        lexicon = load_lexicon_file(path)
-    except LexiconError as exc:
-        raise DataError(f"lexicon validation failed: {exc}") from exc
-    matcher = compile_lexicon(lexicon)
+    matcher = compile_lexicon(_load_lexicon(cfg.lexicon_path))
     for warning in matcher.warnings:
         print(f"lexicon-warning\t{warning.as_line()}", file=sys.stderr)
     return matcher
@@ -104,14 +120,6 @@ def _score_chain(cfg: PipelineConfig):
     filtered = corpus_mod.filter_english(records, threshold=cfg.english_threshold)
     rows = scoring.score_records(filtered.kept, matcher, cfg.year_range)
     return records, rejections, filtered, rows
-
-
-def _write_rejections(out_dir: Path, rejections, filtered) -> None:
-    lines = [r.as_line() for r in rejections]
-    lines += [f"-\t{rec.id}\tnon-english\t" for rec in filtered.rejected]
-    lines += [f"-\t{rid}\tshort-flagged\t" for rid in filtered.flagged_short]
-    (out_dir / "rejections.txt").write_text(
-        "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
 def _buckets_json(buckets: dict[int, YearBucket]) -> dict:
@@ -132,29 +140,22 @@ def cmd_stats(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     records, rejections = _load_records(cfg)
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     encoding_rejects = sum(1 for r in rejections
                            if r.code == corpus_mod.REJECT_BAD_ENCODING)
     cstats = corpus_mod.delivery_histogram(records, rejected_encoding=encoding_rejects)
     if not records:
         print("warning: corpus is empty", file=sys.stderr)
 
-    hist_lines = ["delivery_year,count"]
-    hist_lines += [f"{y},{c}" for y, c in cstats.histogram_rows()]
-    (out_dir / "histogram.csv").write_text("\n".join(hist_lines) + "\n", encoding="utf-8")
-
-    lag_lines = ["origin_year,mean_lag_years"]
-    lag_lines += [f"{y},{_sig6(v)}" for y, v in sorted(cstats.mean_lag_years.items())]
-    (out_dir / "mean_lag.csv").write_text("\n".join(lag_lines) + "\n", encoding="utf-8")
-
+    _write_lines(out_dir / "histogram.csv", [
+        "delivery_year,count", *(f"{y},{c}" for y, c in cstats.histogram_rows())])
+    _write_lines(out_dir / "mean_lag.csv", [
+        "origin_year,mean_lag_years",
+        *(f"{y},{v:.6g}" for y, v in sorted(cstats.mean_lag_years.items()))])
     freq = corpus_mod.word_frequency(records, top_n=cfg.top_n)
-    freq_lines = ["rank,word,count"]
-    freq_lines += [f"{i},{w},{c}" for i, (w, c) in enumerate(freq, start=1)]
-    (out_dir / "wordfreq.csv").write_text("\n".join(freq_lines) + "\n", encoding="utf-8")
-
-    (out_dir / "stats.json").write_text(
-        json.dumps(cstats.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    _write_lines(out_dir / "wordfreq.csv", [
+        "rank,word,count", *(f"{i},{w},{c}" for i, (w, c) in enumerate(freq, start=1))])
+    _write_lines(out_dir / "stats.json",
+                 [json.dumps(cstats.to_json_dict(), indent=2, sort_keys=True)])
 
     print(f"records: {cstats.total_records}  rejected lines: {len(rejections)}  "
           f"years: {len(cstats.per_year_counts)}")
@@ -164,28 +165,25 @@ def cmd_stats(args: argparse.Namespace) -> int:
 SCORES_HEADER = ["id", "delivery_year", *(s.value for s in SCALES), "match_count"]
 
 
-def _write_scores_csv(path: Path, rows: list[ScoredRecord]) -> None:
-    # str() of a float is its shortest round-trip repr, so analyze --scores
-    # reads back exactly the vectors inline analysis uses
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCORES_HEADER)
-        for sc in rows:
-            writer.writerow([sc.id, sc.delivery_year, *sc.components, sc.match_count])
-
-
 def cmd_score(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     records, rejections, filtered, rows = _score_chain(cfg)
     buckets = bucket_scores(rows, cfg.year_range)
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    _write_scores_csv(out_dir / "scores.csv", rows)
-    (out_dir / "buckets.json").write_text(
-        json.dumps(_buckets_json(buckets), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    _write_rejections(out_dir, rejections, filtered)
+    # str() of a float is its shortest round-trip repr, so analyze --scores
+    # reads back exactly the vectors inline analysis uses
+    with _replacing(out_dir / "scores.csv") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SCORES_HEADER)
+        for sc in rows:
+            writer.writerow([sc.id, sc.delivery_year, *sc.components, sc.match_count])
+    _write_lines(out_dir / "buckets.json",
+                 [json.dumps(_buckets_json(buckets), indent=2, sort_keys=True)])
+    _write_lines(out_dir / "rejections.txt", [
+        *(r.as_line() for r in rejections),
+        *(f"-\t{rec.id}\tnon-english\t" for rec in filtered.rejected),
+        *(f"-\t{rid}\tshort-flagged\t" for rid in filtered.flagged_short)])
 
     zero_total = sum(b.zero_match_count for b in buckets.values())
     print(f"parsed: {len(records)}  rejected lines: {len(rejections)}  "
@@ -194,14 +192,16 @@ def cmd_score(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_scores_csv(path: Path) -> list[ScoredRecord]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+def _read_scores_csv(path) -> list[ScoredRecord]:
+    with _reading("scores", path), open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
             if header != SCORES_HEADER:
                 raise DataError(f"unexpected scores.csv header: {','.join(header)!r}")
             return [_scores_row(row) for row in reader if row]
+        except UnicodeDecodeError:  # an unreadable file, left to the guard
+            raise
         except (csv.Error, ValueError) as exc:
             raise DataError(f"bad scores.csv line {reader.line_num}: {exc}") from None
 
@@ -215,11 +215,8 @@ def _scores_row(row: list[str]) -> ScoredRecord:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    if getattr(args, "scores", None):
-        scores_path = Path(args.scores)
-        if not scores_path.exists():
-            raise DataError(f"scores file not found: {scores_path}")
-        rows = _read_scores_csv(scores_path)
+    if args.scores:
+        rows = _read_scores_csv(args.scores)
     else:
         *_, rows = _score_chain(cfg)
     buckets = bucket_scores(rows, cfg.year_range)
@@ -228,7 +225,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise DataError(f"need at least two non-empty year buckets, got {len(non_empty)}")
 
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     trends_possible = len(non_empty) >= 3
     if not trends_possible:
         print("warning: fewer than three non-empty years; trend fits skipped",
@@ -239,21 +235,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         matrix = stats.pairwise_ks(buckets, dimension,
                                    alpha_significant=cfg.alpha_significant,
                                    alpha_marginal=cfg.alpha_marginal)
-        ks_lines = ["year_a,year_b,dimension,d,p,flag"]
-        for ya, yb, dim, d, p, flag in matrix.csv_rows():
-            ks_lines.append(f"{ya},{yb},{dim},{_sig6(d)},{_p4(p)},{flag}")
-            if flag != stats.FLAG_NONE:
-                flagged_total += 1
-        (out_dir / f"ks_{dimension.value}.csv").write_text(
-            "\n".join(ks_lines) + "\n", encoding="utf-8")
+        ks_rows = list(matrix.csv_rows())
+        flagged_total += sum(1 for *_, flag in ks_rows if flag != stats.FLAG_NONE)
+        _write_lines(out_dir / f"ks_{dimension.value}.csv", [
+            "year_a,year_b,dimension,d,p,flag",
+            *(f"{ya},{yb},{dim},{d:.6g},{p:.4f},{flag}"
+              for ya, yb, dim, d, p, flag in ks_rows)])
 
         if trends_possible:
             trend = stats.build_trend(buckets, dimension)
-            trend_lines = ["year,raw_mean,z,fitted"]
-            for year, raw, z, fitted in trend.csv_rows():
-                trend_lines.append(f"{year},{_sig6(raw)},{_sig6(z)},{_sig6(fitted)}")
-            (out_dir / f"trend_{dimension.value}.csv").write_text(
-                "\n".join(trend_lines) + "\n", encoding="utf-8")
+            _write_lines(out_dir / f"trend_{dimension.value}.csv", [
+                "year,raw_mean,z,fitted",
+                *(f"{year},{raw:.6g},{z:.6g},{fitted:.6g}"
+                  for year, raw, z, fitted in trend.csv_rows())])
             trend_json = {
                 "dimension": dimension.value,
                 "years": trend.years,
@@ -263,11 +257,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "fitted": [repr(v) for v in trend.fitted],
                 "degenerate": trend.degenerate,
             }
-            (out_dir / f"trend_{dimension.value}.json").write_text(
-                json.dumps(trend_json, indent=2) + "\n", encoding="utf-8")
+            _write_lines(out_dir / f"trend_{dimension.value}.json",
+                         [json.dumps(trend_json, indent=2)])
             if cfg.emit_svg:
-                (out_dir / f"trend_{dimension.value}.svg").write_text(
-                    svg.render_trend_svg(trend, matrix) + "\n", encoding="utf-8")
+                _write_lines(out_dir / f"trend_{dimension.value}.svg",
+                             [svg.render_trend_svg(trend, matrix)])
 
     years_str = f"{min(non_empty)}-{max(non_empty)}"
     print(f"analyzed years: {years_str}  dimensions: {len(SCALES)}  "
@@ -276,31 +270,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec_path = Path(args.spec)
-    if not spec_path.exists():
-        raise DataError(f"synth spec not found: {spec_path}")
+    lexicon = _load_lexicon(args.lexicon) if args.lexicon else load_default_lexicon()
     try:
-        parsed = synth.parse_synth_spec(parse_kv_file(spec_path))
-    except ValueError as exc:
-        raise DataError(f"bad synth spec: {exc}") from exc
-    if args.seed is not None:
-        parsed["seed"] = args.seed
-    if args.lexicon:
-        try:
-            lexicon = load_lexicon_file(args.lexicon)
-        except LexiconError as exc:
-            raise DataError(f"lexicon validation failed: {exc}") from exc
-    else:
-        from .lexicon import load_default_lexicon
-        lexicon = load_default_lexicon()
-    try:
+        with _reading("synth spec", args.spec):
+            pairs = parse_kv_file(args.spec)
+        parsed = synth.parse_synth_spec(pairs)
+        if args.seed is not None:
+            parsed["seed"] = args.seed
         records = synth.generate_corpus(lexicon=lexicon, **parsed)
     except ValueError as exc:
-        raise DataError(f"generation failed: {exc}") from exc
+        raise DataError(f"bad synth spec: {exc}") from exc
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [corpus_mod.format_record_line(rec) for rec in records]
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(out_path, (corpus_mod.format_record_line(rec) for rec in records))
     years = sorted({r.delivery_year for r in records})
     print(f"wrote {len(records)} records over years {years[0]}-{years[-1]} "
           f"to {out_path}")
@@ -314,23 +295,27 @@ def cmd_stem(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_config_flags(p: argparse.ArgumentParser, *, corpus: bool = False,
-                      lexicon: bool = False, analysis: bool = False) -> None:
+# the config keys each pipeline subcommand takes as flags; a value is parsed
+# only by apply_overrides and checked only by PipelineConfig.validate
+_CORPUS_KEYS = ("corpus_path", "corpus_format", "output_dir")
+_SCORE_KEYS = (*_CORPUS_KEYS, "lexicon_path", "english_threshold", "year_min", "year_max")
+_FLAG_KEYS = {
+    "stats": (*_CORPUS_KEYS, "top_n"),
+    "score": _SCORE_KEYS,
+    "analyze": (*_SCORE_KEYS, "alpha_significant", "alpha_marginal", "emit_svg"),
+}
+_FLAG_NAMES = {"corpus_path": "--corpus", "lexicon_path": "--lexicon"}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--output-dir", dest="output_dir", help="output directory")
-    if corpus:
-        p.add_argument("--corpus", dest="corpus_path", help="corpus file")
-        p.add_argument("--corpus-format", dest="corpus_format",
-                       choices=("tsv", "jsonl"), default=None)
-    if lexicon:
-        p.add_argument("--lexicon", dest="lexicon_path", help="lexicon file")
-        p.add_argument("--english-threshold", dest="english_threshold", type=float)
-        p.add_argument("--year-min", dest="year_min", type=int)
-        p.add_argument("--year-max", dest="year_max", type=int)
-    if analysis:
-        p.add_argument("--alpha-significant", dest="alpha_significant", type=float)
-        p.add_argument("--alpha-marginal", dest="alpha_marginal", type=float)
-        p.add_argument("--emit-svg", dest="emit_svg", action="store_true", default=None)
+    for key in keys:
+        flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+        if KEY_TYPES[key] is bool:
+            p.add_argument(flag, dest=key, action="store_const", const="true",
+                           help=f"set config key {key}")
+        else:
+            p.add_argument(flag, dest=key, help=f"config key {key}")
 
 
 def build_parser() -> _Parser:
@@ -340,16 +325,15 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_stats = sub.add_parser("stats", help="corpus histogram and word table")
-    _add_config_flags(p_stats, corpus=True)
-    p_stats.add_argument("--top-n", dest="top_n", type=int)
+    _add_config_flags(p_stats, _FLAG_KEYS["stats"])
     p_stats.set_defaults(func=cmd_stats)
 
     p_score = sub.add_parser("score", help="score every document into mood vectors")
-    _add_config_flags(p_score, corpus=True, lexicon=True)
+    _add_config_flags(p_score, _FLAG_KEYS["score"])
     p_score.set_defaults(func=cmd_score)
 
     p_an = sub.add_parser("analyze", help="pairwise KS tests and trend fits")
-    _add_config_flags(p_an, corpus=True, lexicon=True, analysis=True)
+    _add_config_flags(p_an, _FLAG_KEYS["analyze"])
     p_an.add_argument("--scores", help="reuse a scores.csv from a score run "
                                        "instead of scoring inline")
     p_an.set_defaults(func=cmd_analyze)
@@ -374,16 +358,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageExit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except LexiconError as exc:
+    except (DataError, LexiconError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -113,5 +113,5 @@ def apply_overrides(cfg: PipelineConfig, pairs: dict[str, str | None]) -> Pipeli
             continue
         if key not in KEY_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, _coerce(key, str(value), KEY_TYPES[key]))
+        setattr(cfg, key, _coerce(key, value, KEY_TYPES[key]))
     return cfg

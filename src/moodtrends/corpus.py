@@ -16,8 +16,10 @@ jsonl (one JSON object per line)::
 
   All four values must be JSON strings.
 
-In both formats a record id is non-empty and holds no tab or line break, so
-it fits on one line of every output file. Lines end at LF or CRLF.
+In both formats a record id is non-empty, holds no tab or line break and
+encodes as UTF-8 (no lone surrogate), so it fits on one line of every output
+file. A rejection report carries the line's id only when it keeps that rule,
+and an empty id otherwise. Lines end at LF or CRLF.
 
 Malformed lines never abort a parse; each produces a rejection report with
 its line number and a stable reason code.
@@ -106,6 +108,8 @@ _ESCAPE_TABLE = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\
 _ESCAPED = re.compile(r"\\(.)", re.DOTALL)
 _UNESCAPES = {"t": "\t", "n": "\n", "r": "\r"}
 _JSON_KEYS = ("id", "compose_date", "delivery_date", "body")
+# what a record id may not hold: a tab, a line break or a lone surrogate
+_BAD_ID = re.compile("[\t\r\n\ud800-\udfff]")
 
 
 def escape_body(body: str) -> str:
@@ -166,8 +170,9 @@ def _parse_line(raw_line: bytes, fmt: str) -> EmailRecord:
     rec_id, compose, delivery, body = _fields(line, fmt)
     if not rec_id.strip():
         raise _Rejected("", REJECT_BAD_FIELDS, "empty record id")
-    if any(ch in rec_id for ch in "\t\r\n"):
-        raise _Rejected("", REJECT_BAD_FIELDS, "record id contains a tab or line break")
+    if _BAD_ID.search(rec_id):
+        raise _Rejected("", REJECT_BAD_FIELDS,
+                        "record id contains a tab, a line break or a lone surrogate")
     try:
         compose_date = dt.date.fromisoformat(compose.strip())
         delivery_date = dt.date.fromisoformat(delivery.strip())
@@ -204,7 +209,9 @@ def parse_corpus(data: bytes | BinaryIO,
         try:
             records.append(_parse_line(raw_line, fmt))
         except _Rejected as rej:
-            rejections.append(RejectionReport(line_no, *rej.args))
+            rec_id, code, detail = rej.args
+            rejections.append(RejectionReport(
+                line_no, "" if _BAD_ID.search(rec_id) else rec_id, code, detail))
     return records, rejections
 
 

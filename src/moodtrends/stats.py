@@ -5,6 +5,7 @@ global quadratic trend fits."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -154,6 +155,11 @@ def zscore_series(values: Sequence[float]) -> tuple[list[float], bool]:
     correction = sum(deviations) / k
     deviations = [d - correction for d in deviations]
     var = sum(d * d for d in deviations) / (k - 1)
+    if var < sys.float_info.min and any(deviations):
+        # the squared deviations underflow; z-scores are scale-free, so redo
+        # the sums on the values scaled by an exact power of two
+        shift = math.frexp(max(abs(v) for v in values))[1]
+        return zscore_series([math.ldexp(v, -shift) for v in values])
     if var == 0.0:
         return [0.0] * k, True
     std = math.sqrt(var)

@@ -399,3 +399,141 @@ class TestSvgRendering:
         doc = render_trend_svg(trend)
         root = ET.fromstring(doc)
         assert root.tag.endswith("svg")
+
+
+def bad_input(tmp_path, kind):
+    """A path that cannot be read as a UTF-8 input file."""
+    path = tmp_path / f"bad-{kind}"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-utf8":
+        path.write_bytes(b"\xff\xfe\x00bad = \xff\n")
+    return path
+
+
+def one_error_line(err):
+    assert "Traceback" not in err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+
+
+# a corpus is decoded line by line, so a non-UTF-8 corpus is not unreadable:
+# its lines become rejections (test_non_utf8_corpus_lines_rejected)
+DATA_INPUT_FAILURES = [(role, kind) for role in ("corpus", "lexicon", "scores", "spec")
+                       for kind in ("missing", "directory", "non-utf8")
+                       if (role, kind) != ("corpus", "non-utf8")]
+
+
+class TestInputGuard:
+    @pytest.mark.parametrize("role,kind", DATA_INPUT_FAILURES)
+    def test_unreadable_data_input_exits_2(self, tmp_path, step_corpus, capsys,
+                                           role, kind):
+        bad, out = str(bad_input(tmp_path, kind)), str(tmp_path / "o")
+        argv = {
+            "corpus": ["score", "--corpus", bad, "--lexicon", str(LEXICON)],
+            "lexicon": ["score", "--corpus", str(step_corpus), "--lexicon", bad],
+            "scores": ["analyze", "--scores", bad],
+            "spec": ["synth", "--spec", bad, "--out", str(tmp_path / "x.tsv")],
+        }[role]
+        if role != "spec":
+            argv += ["--output-dir", out]
+        capsys.readouterr()
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        one_error_line(err)
+        assert "cannot read" in err
+
+    def test_non_utf8_corpus_lines_rejected(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["score", "--corpus", str(bad_input(tmp_path, "non-utf8")),
+                     "--lexicon", str(LEXICON), "--output-dir", str(out)]) == EXIT_OK
+        rejection = (out / "rejections.txt").read_text().split("\t")
+        assert rejection[:3] == ["1", "", "unknown-character-encoding"]
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, kind):
+        assert main(["stats", "--config", str(bad_input(tmp_path, kind))]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        one_error_line(err)
+        assert "cannot read config" in err
+
+    @pytest.mark.parametrize("flags", [["--year-min", "x", "--year-max", "2010"],
+                                       ["--corpus-format", "xml"]])
+    def test_bad_flag_value_exits_1(self, tmp_path, step_corpus, capsys, flags):
+        assert main(["score", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
+                     "--output-dir", str(tmp_path / "o"), *flags]) == EXIT_USAGE
+        one_error_line(capsys.readouterr().err)
+
+
+class TestOutputWriter:
+    def test_failed_write_keeps_previous_file(self, tmp_path, step_corpus, monkeypatch):
+        out = tmp_path / "score"
+        argv = ["score", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
+                "--output-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        before = (out / "scores.csv").read_bytes()
+        real_writer = csv.writer
+
+        class FailingWriter:
+            def __init__(self, fh, **kwargs):
+                self.inner, self.rows = real_writer(fh, **kwargs), 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows == 100:
+                    raise RuntimeError("disk gone")
+                return self.inner.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", FailingWriter)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            main(argv)
+        assert (out / "scores.csv").read_bytes() == before
+        assert not list(out.glob(".*.tmp"))
+
+    def test_svg_from_flag_and_from_config(self, tmp_path, step_corpus):
+        by_flag, by_config = tmp_path / "flag", tmp_path / "config"
+        assert main(["analyze", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
+                     "--output-dir", str(by_flag), "--emit-svg"]) == EXIT_OK
+        cfg = tmp_path / "svg.conf"
+        cfg.write_text(f"corpus_path = {step_corpus}\nlexicon_path = {LEXICON}\n"
+                       f"output_dir = {by_config}\nemit_svg = true\n")
+        assert main(["analyze", "--config", str(cfg)]) == EXIT_OK
+        for out in (by_flag, by_config):
+            assert len(list(out.glob("trend_*.svg"))) == 6
+            assert not list(out.glob(".*"))
+
+    def test_jsonl_surrogate_id_rejected(self, tmp_path, step_corpus):
+        records, _ = parse_corpus_file(step_corpus)
+        lines = [json.dumps({"id": r.id, "compose_date": r.compose_date.isoformat(),
+                             "delivery_date": r.delivery_date.isoformat(),
+                             "body": r.body}) for r in records]
+        lines[0] = lines[0].replace(json.dumps(records[0].id), '"a\\ud800"')
+        lines.insert(1, '{"id": "b\\ud800"}')
+        corpus = tmp_path / "surrogate.jsonl"
+        corpus.write_text("\n".join(lines) + "\n")
+        score_out = tmp_path / "score"
+        assert main(["score", "--corpus", str(corpus), "--corpus-format", "jsonl",
+                     "--lexicon", str(LEXICON), "--output-dir", str(score_out)]) == EXIT_OK
+        assert main(["analyze", "--scores", str(score_out / "scores.csv"),
+                     "--output-dir", str(tmp_path / "an")]) == EXIT_OK
+        rejections = (score_out / "rejections.txt").read_text().splitlines()
+        assert [r.split("\t")[:3] for r in rejections[:2]] == [
+            ["1", "", "malformed-record"], ["2", "", "malformed-record"]]
+
+
+def test_every_flag_is_a_config_key():
+    import argparse
+
+    from moodtrends.cli import build_parser
+    from moodtrends.config import KEY_TYPES
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    reachable = set()
+    for name in ("stats", "score", "analyze"):
+        dests = {a.dest for a in sub.choices[name]._actions} - {"help", "config", "scores"}
+        assert dests <= set(KEY_TYPES), name
+        for action in sub.choices[name]._actions:
+            if action.dest in KEY_TYPES:
+                assert action.type is None and action.choices is None
+        reachable |= dests
+    assert reachable == set(KEY_TYPES)

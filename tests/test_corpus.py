@@ -32,7 +32,19 @@ LINE_SEEDS = [
     tsv_line(rec_id="a\rb").encode(), tsv_line(compose="2020-01-01").encode(),
     JSONL_TEMPLATE.encode(), JSONL_TEMPLATE.replace('"ID"', "null").encode(),
     b"[" * 2000, b"\xff\xfe",
+    # rejected lines whose id breaks the id rule: a CR, a tab, a surrogate
+    b"a\rb\tx", b'{"id": "a\\tb"}', b'{"id": "a\\ud800", "body": 1}',
+    JSONL_TEMPLATE.replace('"ID"', '"a\\ud800"').encode(),
 ]
+
+
+def id_rule_holds(rec_id: str) -> bool:
+    """No tab or line break, and encodable as UTF-8."""
+    try:
+        rec_id.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return not set(rec_id) & set("\t\r\n")
 
 
 class TestParseCorpus:
@@ -137,8 +149,10 @@ class TestParseCorpus:
         ("jsonl", JSONL_TEMPLATE.replace('"ID"', '""')),
         ("jsonl", JSONL_TEMPLATE.replace('"ID"', '"a\\rb"')),
         ("jsonl", JSONL_TEMPLATE.replace('"ID"', '"ok"').replace('"BODY"', "null")),
+        ("jsonl", JSONL_TEMPLATE.replace('"ID"', '"a\\ud800"')),
         ("tsv", tsv_line(rec_id="a\rb")),
-    ], ids=["null-id", "int-id", "empty-id", "cr-id", "null-body", "tsv-cr-id"])
+    ], ids=["null-id", "int-id", "empty-id", "cr-id", "null-body", "surrogate-id",
+            "tsv-cr-id"])
     def test_bad_id_or_non_string_field_rejected(self, fmt, line):
         records, rejections = parse_corpus(line.encode(), fmt=fmt)
         assert records == []
@@ -162,8 +176,10 @@ class TestParseCorpus:
         non_blank = sum(1 for line in data.split(b"\n") if line.strip())
         assert len(records) + len(rejections) == non_blank
         for rec in records:
-            assert rec.id.strip() and not set(rec.id) & set("\t\r\n")
+            assert rec.id.strip() and id_rule_holds(rec.id)
             assert rec.delivery_date >= rec.compose_date
+        for rej in rejections:
+            assert id_rule_holds(rej.record_id)
 
 
 def old_unescape_body(text: str) -> str:

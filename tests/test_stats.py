@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ks_oracle import brute_perm_p, exact_perm_p, mc_perm_p, oracle_d
@@ -188,6 +188,8 @@ class TestZscoreSeries:
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2,
                     max_size=40))
+    @example([0.0, 6.136647509344362e-162])  # squared deviations underflow
+    @example([5e-324, 0.0])  # subnormal: scaling only the deviations fails
     @settings(max_examples=200)
     def test_output_mean_zero_std_one(self, values):
         zs, degenerate = zscore_series(values)
