@@ -64,15 +64,19 @@ def _replacing(path: Path):
     """Writer for every output file: a text handle on the hidden sibling
     ``.<name>.tmp`` (parent directories are made as needed), moved onto path
     when the block ends. path holds either its old bytes or all of the new
-    ones; the temp file never outlives the block."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    ones; the temp file never outlives the block. A failed write is a
+    UsageError, since every output path comes from a flag or config value."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # e.g. the parent is not a directory
+            tmp.unlink(missing_ok=True)
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
@@ -107,8 +111,9 @@ def _load_matcher(cfg: PipelineConfig):
     if not cfg.lexicon_path:
         raise UsageError("no lexicon path given (flag --lexicon or config lexicon_path)")
     matcher = compile_lexicon(_load_lexicon(cfg.lexicon_path))
-    for warning in matcher.warnings:
-        print(f"lexicon-warning\t{warning.as_line()}", file=sys.stderr)
+    for w in matcher.warnings:
+        print(f"lexicon-warning\t{w.code}\t{w.term}\t{w.colliding_term}\t"
+              f"{' '.join(w.sequence)}", file=sys.stderr)
     return matcher
 
 
@@ -140,25 +145,28 @@ def cmd_stats(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     records, rejections = _load_records(cfg)
     out_dir = Path(cfg.output_dir)
-    encoding_rejects = sum(1 for r in rejections
-                           if r.code == corpus_mod.REJECT_BAD_ENCODING)
-    cstats = corpus_mod.delivery_histogram(records, rejected_encoding=encoding_rejects)
+    per_year, mean_lag = corpus_mod.delivery_histogram(records)
     if not records:
         print("warning: corpus is empty", file=sys.stderr)
 
     _write_lines(out_dir / "histogram.csv", [
-        "delivery_year,count", *(f"{y},{c}" for y, c in cstats.histogram_rows())])
+        "delivery_year,count", *(f"{y},{c}" for y, c in per_year.items())])
     _write_lines(out_dir / "mean_lag.csv", [
-        "origin_year,mean_lag_years",
-        *(f"{y},{v:.6g}" for y, v in sorted(cstats.mean_lag_years.items()))])
+        "origin_year,mean_lag_years", *(f"{y},{v:.6g}" for y, v in mean_lag.items())])
     freq = corpus_mod.word_frequency(records, top_n=cfg.top_n)
     _write_lines(out_dir / "wordfreq.csv", [
         "rank,word,count", *(f"{i},{w},{c}" for i, (w, c) in enumerate(freq, start=1))])
-    _write_lines(out_dir / "stats.json",
-                 [json.dumps(cstats.to_json_dict(), indent=2, sort_keys=True)])
+    summary = {
+        "per_year_counts": {str(y): c for y, c in per_year.items()},
+        "mean_lag_years": {str(y): v for y, v in mean_lag.items()},
+        "total_records": len(records),
+        "rejected_encoding": sum(r.code == corpus_mod.REJECT_BAD_ENCODING
+                                 for r in rejections),
+    }
+    _write_lines(out_dir / "stats.json", [json.dumps(summary, indent=2, sort_keys=True)])
 
-    print(f"records: {cstats.total_records}  rejected lines: {len(rejections)}  "
-          f"years: {len(cstats.per_year_counts)}")
+    print(f"records: {len(records)}  rejected lines: {len(rejections)}  "
+          f"years: {len(per_year)}")
     return EXIT_OK
 
 
@@ -180,10 +188,11 @@ def cmd_score(args: argparse.Namespace) -> int:
             writer.writerow([sc.id, sc.delivery_year, *sc.components, sc.match_count])
     _write_lines(out_dir / "buckets.json",
                  [json.dumps(_buckets_json(buckets), indent=2, sort_keys=True)])
-    _write_lines(out_dir / "rejections.txt", [
-        *(r.as_line() for r in rejections),
-        *(f"-\t{rec.id}\tnon-english\t" for rec in filtered.rejected),
-        *(f"-\t{rid}\tshort-flagged\t" for rid in filtered.flagged_short)])
+    _write_lines(out_dir / "rejections.txt", (
+        f"{line_no}\t{rec_id}\t{code}\t{detail}" for line_no, rec_id, code, detail in [
+            *((r.line_no, r.record_id, r.code, r.detail) for r in rejections),
+            *(("-", rec.id, "non-english", "") for rec in filtered.rejected),
+            *(("-", rid, "short-flagged", "") for rid in filtered.flagged_short)]))
 
     zero_total = sum(b.zero_match_count for b in buckets.values())
     print(f"parsed: {len(records)}  rejected lines: {len(rejections)}  "
@@ -235,19 +244,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         matrix = stats.pairwise_ks(buckets, dimension,
                                    alpha_significant=cfg.alpha_significant,
                                    alpha_marginal=cfg.alpha_marginal)
-        ks_rows = list(matrix.csv_rows())
-        flagged_total += sum(1 for *_, flag in ks_rows if flag != stats.FLAG_NONE)
+        flagged_total += sum(f != stats.FLAG_NONE for f in matrix.flags.values())
         _write_lines(out_dir / f"ks_{dimension.value}.csv", [
             "year_a,year_b,dimension,d,p,flag",
-            *(f"{ya},{yb},{dim},{d:.6g},{p:.4f},{flag}"
-              for ya, yb, dim, d, p, flag in ks_rows)])
+            *(f"{ya},{yb},{dimension.value},{r.d_statistic:.6g},{r.p_value:.4f},"
+              f"{matrix.flags[ya, yb]}" for (ya, yb), r in matrix.cells.items())])
 
         if trends_possible:
             trend = stats.build_trend(buckets, dimension)
             _write_lines(out_dir / f"trend_{dimension.value}.csv", [
                 "year,raw_mean,z,fitted",
-                *(f"{year},{raw:.6g},{z:.6g},{fitted:.6g}"
-                  for year, raw, z, fitted in trend.csv_rows())])
+                *(f"{year},{raw:.6g},{z:.6g},{fitted:.6g}" for year, raw, z, fitted
+                  in zip(trend.years, trend.raw_means, trend.z_scores, trend.fitted))])
             trend_json = {
                 "dimension": dimension.value,
                 "years": trend.years,

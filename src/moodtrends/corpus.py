@@ -32,7 +32,7 @@ import io
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import BinaryIO, Iterable
 
@@ -78,30 +78,6 @@ class RejectionReport:
     record_id: str
     code: str
     detail: str = ""
-
-    def as_line(self) -> str:
-        return f"{self.line_no}\t{self.record_id}\t{self.code}\t{self.detail}"
-
-
-@dataclass
-class CorpusStats:
-    """Delivery-year histogram plus per-origin-year mean lag."""
-
-    per_year_counts: dict[int, int] = field(default_factory=dict)
-    mean_lag_years: dict[int, float] = field(default_factory=dict)
-    total_records: int = 0
-    rejected_encoding: int = 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "per_year_counts": {str(y): c for y, c in sorted(self.per_year_counts.items())},
-            "mean_lag_years": {str(y): v for y, v in sorted(self.mean_lag_years.items())},
-            "total_records": self.total_records,
-            "rejected_encoding": self.rejected_encoding,
-        }
-
-    def histogram_rows(self) -> list[tuple[int, int]]:
-        return sorted(self.per_year_counts.items())
 
 
 _ESCAPE_TABLE = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
@@ -281,21 +257,17 @@ def word_frequency(records: Iterable[EmailRecord], top_n: int,
     return ranked[:top_n]
 
 
-def delivery_histogram(records: Iterable[EmailRecord],
-                       rejected_encoding: int = 0) -> CorpusStats:
-    """Per-delivery-year counts and per-origin-year mean lag in fractional
-    years. An empty record list yields all-zero stats."""
-    per_year: dict[int, int] = {}
+def delivery_histogram(records: Iterable[EmailRecord]
+                       ) -> tuple[dict[int, int], dict[int, float]]:
+    """(per-delivery-year counts, per-origin-year mean lag in fractional
+    years), both in ascending year order; empty for no records."""
+    per_year: Counter[int] = Counter()
     lag_sum: dict[int, float] = {}
-    lag_n: dict[int, int] = {}
-    total = 0
+    lag_n: Counter[int] = Counter()
     for rec in records:
-        total += 1
-        y = rec.delivery_year
-        per_year[y] = per_year.get(y, 0) + 1
+        per_year[rec.delivery_year] += 1
         oy = rec.compose_date.year
         lag_sum[oy] = lag_sum.get(oy, 0.0) + rec.lag_years()
-        lag_n[oy] = lag_n.get(oy, 0) + 1
-    mean_lag = {y: lag_sum[y] / lag_n[y] for y in lag_sum}
-    return CorpusStats(per_year_counts=per_year, mean_lag_years=mean_lag,
-                       total_records=total, rejected_encoding=rejected_encoding)
+        lag_n[oy] += 1
+    return ({y: per_year[y] for y in sorted(per_year)},
+            {y: lag_sum[y] / lag_n[y] for y in sorted(lag_sum)})

@@ -57,9 +57,6 @@ class MoodLexicon:
     entries: tuple[LexiconEntry, ...]
     version: str = "unversioned"
 
-    def scales_covered(self) -> set[MoodScale]:
-        return {e.scale for e in self.entries}
-
 
 @dataclass(frozen=True)
 class CompileWarning:
@@ -69,9 +66,6 @@ class CompileWarning:
     term: str
     colliding_term: str
     sequence: tuple[str, ...]
-
-    def as_line(self) -> str:
-        return f"{self.code}\t{self.term}\t{self.colliding_term}\t{' '.join(self.sequence)}"
 
 
 def _parse_entry_line(line: str, line_no: int) -> LexiconEntry:
@@ -164,24 +158,19 @@ def load_default_lexicon() -> MoodLexicon:
 class CompiledMatcher:
     """Stem sequences mapped to main-term indices, ready for scanning.
 
+    ``scale_index[i]`` is the vector position of main term i's scale.
     Single-stem sequences live in ``singles``, longer ones in ``phrases``;
     ``phrase_heads`` holds the first stem of every multi-stem sequence so the
     scorer can skip phrase lookups for most tokens.
     """
 
     main_terms: tuple[str, ...]
-    scale_of: dict[str, MoodScale]
+    scale_index: tuple[int, ...]
     singles: dict[str, int]
     phrases: dict[tuple[str, ...], int]
     phrase_heads: frozenset[str]
     max_phrase_len: int
     warnings: list[CompileWarning] = field(default_factory=list)
-
-    def scale_index_of(self, main_index: int) -> int:
-        return self._scale_indices[main_index]
-
-    def __post_init__(self) -> None:
-        self._scale_indices = [SCALE_INDEX[self.scale_of[t]] for t in self.main_terms]
 
 
 def compile_lexicon(lex: MoodLexicon) -> CompiledMatcher:
@@ -193,7 +182,6 @@ def compile_lexicon(lex: MoodLexicon) -> CompiledMatcher:
     """
     main_terms = tuple(e.main_term for e in lex.entries)
     index_of = {t: i for i, t in enumerate(main_terms)}
-    scale_of = {e.main_term: e.scale for e in lex.entries}
     singles: dict[str, int] = {}
     phrases: dict[tuple[str, ...], int] = {}
     warnings: list[CompileWarning] = []
@@ -224,7 +212,7 @@ def compile_lexicon(lex: MoodLexicon) -> CompiledMatcher:
 
     return CompiledMatcher(
         main_terms=main_terms,
-        scale_of=scale_of,
+        scale_index=tuple(SCALE_INDEX[e.scale] for e in lex.entries),
         singles=singles,
         phrases=phrases,
         phrase_heads=frozenset(seq[0] for seq in phrases),

@@ -73,7 +73,7 @@ def score_record(rec: EmailRecord, matcher: CompiledMatcher) -> ScoredRecord:
     components = [0.0] * len(SCALES)
     for main_idx, c in enumerate(counts):
         if c:
-            components[matcher.scale_index_of(main_idx)] += c
+            components[matcher.scale_index[main_idx]] += c
     norm = math.sqrt(sum(c * c for c in components))
     return ScoredRecord(rec.id, rec.delivery_year,
                         tuple(c / norm for c in components), total)

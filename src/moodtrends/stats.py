@@ -4,6 +4,7 @@ global quadratic trend fits."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -89,8 +90,8 @@ def classify_p(p: float, alpha_significant: float = ALPHA_SIGNIFICANT,
 class SignificanceMatrix:
     """Pairwise KS results for one mood dimension.
 
-    cells and flags hold both (a, b) and (b, a) orientations of every tested
-    pair; csv_rows emits each unordered pair once, years ascending.
+    cells and flags key every tested pair once, as (year_a, year_b) with
+    year_a < year_b, in ascending order.
     """
 
     dimension: MoodScale
@@ -99,13 +100,7 @@ class SignificanceMatrix:
     skipped_years: list[int] = field(default_factory=list)
 
     def pairs(self) -> list[tuple[int, int]]:
-        return sorted(k for k in self.cells if k[0] < k[1])
-
-    def csv_rows(self):
-        for (ya, yb) in self.pairs():
-            r = self.cells[(ya, yb)]
-            yield ya, yb, self.dimension.value, r.d_statistic, r.p_value, \
-                self.flags[(ya, yb)]
+        return list(self.cells)
 
 
 def pairwise_ks(buckets: dict[int, YearBucket], dimension: MoodScale,
@@ -122,19 +117,15 @@ def pairwise_ks(buckets: dict[int, YearBucket], dimension: MoodScale,
             samples[y] = np.sort(comps)
         else:
             skipped.append(y)
-    usable = sorted(samples)
-    if len(usable) < 2:
+    if len(samples) < 2:
         raise ValueError("need at least two non-empty year buckets")
     matrix = SignificanceMatrix(dimension=dimension, skipped_years=skipped)
-    for ai in range(len(usable)):
-        for bi in range(ai + 1, len(usable)):
-            ya, yb = usable[ai], usable[bi]
-            result = _ks_sorted(samples[ya], samples[yb])
-            flag = classify_p(result.p_value, alpha_significant, alpha_marginal)
-            matrix.cells[(ya, yb)] = result
-            matrix.cells[(yb, ya)] = result
-            matrix.flags[(ya, yb)] = flag
-            matrix.flags[(yb, ya)] = flag
+    # samples is in ascending year order, so pairs come out (a < b) ascending
+    for ya, yb in itertools.combinations(samples, 2):
+        result = _ks_sorted(samples[ya], samples[yb])
+        matrix.cells[(ya, yb)] = result
+        matrix.flags[(ya, yb)] = classify_p(result.p_value, alpha_significant,
+                                            alpha_marginal)
     return matrix
 
 
@@ -203,10 +194,6 @@ class TrendSeries:
     fit_coeffs: tuple[float, float, float]
     fitted: list[float]
     degenerate: bool = False
-
-    def csv_rows(self):
-        for i, year in enumerate(self.years):
-            yield year, self.raw_means[i], self.z_scores[i], self.fitted[i]
 
 
 def build_trend(buckets: dict[int, YearBucket], dimension: MoodScale) -> TrendSeries:

@@ -96,8 +96,7 @@ def render_trend_svg(trend: TrendSeries,
 
     if matrix is not None:
         labels = []
-        for ya, yb in matrix.pairs():
-            flag = matrix.flags[(ya, yb)]
+        for (ya, yb), flag in matrix.flags.items():
             if flag == FLAG_SIGNIFICANT:
                 labels.append(f"{ya}–{yb} **")
             elif flag == FLAG_MARGINAL:

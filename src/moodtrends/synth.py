@@ -24,7 +24,6 @@ class TrendSpec:
 
     dimension: MoodScale
     profile: Callable[[int], float]
-    profile_label: str
     noise_sd: float = 0.0
 
     def __post_init__(self) -> None:
@@ -32,28 +31,27 @@ class TrendSpec:
             raise ValueError("noise_sd must be >= 0")
 
 
-def constant(level: float) -> tuple[Callable[[int], float], str]:
-    return (lambda i: level), f"constant({level:g})"
+def constant(level: float) -> Callable[[int], float]:
+    return lambda i: level
 
 
-def linear(slope: float, intercept: float = 0.0) -> tuple[Callable[[int], float], str]:
-    return (lambda i: intercept + slope * i), f"linear({slope:g},{intercept:g})"
+def linear(slope: float, intercept: float = 0.0) -> Callable[[int], float]:
+    return lambda i: intercept + slope * i
 
 
-def quadratic(a: float, b: float, c: float) -> tuple[Callable[[int], float], str]:
-    return (lambda i: a + b * i + c * i * i), f"quadratic({a:g},{b:g},{c:g})"
+def quadratic(a: float, b: float, c: float) -> Callable[[int], float]:
+    return lambda i: a + b * i + c * i * i
 
 
-def step(low: float, high: float, at_index: int) -> tuple[Callable[[int], float], str]:
-    return (lambda i: high if i >= at_index else low), f"step({low:g},{high:g},{at_index:d})"
+def step(low: float, high: float, at_index: int) -> Callable[[int], float]:
+    return lambda i: high if i >= at_index else low
 
 
 def make_trend_spec(dimension: MoodScale, profile_expr: str,
                     noise_sd: float = 0.0) -> TrendSpec:
     """Build a TrendSpec from a profile expression such as ``step(1, 6, 5)``,
     ``constant(3)``, ``linear(0.5)`` or ``quadratic(1, 0.2, -0.01)``."""
-    fn, label = parse_profile(profile_expr)
-    return TrendSpec(dimension=dimension, profile=fn, profile_label=label,
+    return TrendSpec(dimension=dimension, profile=parse_profile(profile_expr),
                      noise_sd=noise_sd)
 
 
@@ -106,7 +104,7 @@ def parse_synth_spec(pairs: dict[str, str]) -> dict:
     }
 
 
-def parse_profile(expr: str) -> tuple[Callable[[int], float], str]:
+def parse_profile(expr: str) -> Callable[[int], float]:
     text = expr.strip().lower()
     if "(" not in text or not text.endswith(")"):
         raise ValueError(f"bad profile expression {expr!r}")

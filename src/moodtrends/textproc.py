@@ -8,10 +8,9 @@ from functools import lru_cache
 
 from . import porter
 
-# Maximal runs of a-z letters and apostrophes; anything else separates.
-# Leading/trailing apostrophes are stripped afterwards so only internal ones
-# survive ("don't" stays one token, "'ello" loses its quote).
-_TOKEN_RE = re.compile(r"[a-z']+")
+# Runs of a-z letters, joined by internal apostrophes only ("don't" stays
+# one token, "'ello" loses its quote); anything else separates.
+_TOKEN_RE = re.compile(r"[a-z]+(?:'+[a-z]+)*")
 
 
 def tokenize(text: str) -> list[str]:
@@ -20,12 +19,7 @@ def tokenize(text: str) -> list[str]:
     Digits, punctuation, symbols and any letter that does not lowercase into
     a-z act as separators; apostrophes are kept only word-internally.
     """
-    out = []
-    for run in _TOKEN_RE.findall(text.lower()):
-        word = run.strip("'")
-        if word:
-            out.append(word)
-    return out
+    return _TOKEN_RE.findall(text.lower())
 
 
 @lru_cache(maxsize=262144)

@@ -71,7 +71,7 @@ def test_c2_lexicon_matching_fixture(matcher):
     counts = {matcher.main_terms[i]: c for i, c in enumerate(per_term) if c}
     scale_counts = [0] * len(SCALES)
     for i, c in enumerate(per_term):
-        scale_counts[matcher.scale_index_of(i)] += c
+        scale_counts[matcher.scale_index[i]] += c
     depression = scale_counts[SCALES.index(MoodScale.DEPRESSION)]
     ok = counts == {"discouraged": 1} and depression == 1
     report(f"2 lexicon-matching-fixture: {'PASS' if ok else 'FAIL'} "

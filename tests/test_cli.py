@@ -149,8 +149,7 @@ class TestScoreCommand:
                    "--output-dir", str(tmp_path / "o")])
         assert rc == EXIT_OK
         err = capsys.readouterr().err
-        assert "stem-collision" in err
-        assert "angry" in err and "tense" in err
+        assert "lexicon-warning\tstem-collision\tangry\ttense\tcross\n" in err
 
     def test_zero_match_corpus_reports_totals(self, tmp_path, capsys):
         records = [make_record("the kitchen table and the garden window again",
@@ -375,11 +374,18 @@ class TestStemCommand:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, tmp_path):
+        import os
         import subprocess
         import sys
+
+        import moodtrends
+        # the child must import the same package this test imported
+        package_root = str(Path(moodtrends.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "moodtrends", "stem", "worrying"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == EXIT_OK
         assert "worrying\tworri" in proc.stdout
 
@@ -518,6 +524,24 @@ class TestOutputWriter:
         rejections = (score_out / "rejections.txt").read_text().splitlines()
         assert [r.split("\t")[:3] for r in rejections[:2]] == [
             ["1", "", "malformed-record"], ["2", "", "malformed-record"]]
+
+    @pytest.mark.parametrize("case", ["output-dir-is-a-file", "out-is-a-directory"])
+    def test_unwritable_output_exits_1(self, tmp_path, step_corpus, capsys, case):
+        blocker = tmp_path / "blocker"
+        if case == "output-dir-is-a-file":
+            blocker.write_text("keep me\n")
+            argv = ["stats", "--corpus", str(step_corpus), "--output-dir", str(blocker)]
+        else:
+            blocker.mkdir()
+            argv = ["synth", "--spec", str(tmp_path / "step.spec"), "--out", str(blocker)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        one_error_line(err)
+        assert f"error: cannot write {blocker}" in err
+        assert not list(tmp_path.rglob(".*.tmp"))
+        assert blocker.is_dir() if case == "out-is-a-directory" else \
+            blocker.read_text() == "keep me\n"
 
 
 def test_every_flag_is_a_config_key():

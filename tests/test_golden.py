@@ -9,7 +9,8 @@ builds.
 The digests were recorded before the columnar-scores refactor; any change
 to them is output drift between versions, not just between runs. The ingest
 digests were recorded before the ingest rewrite (regex codec, one record
-validator) in the same way.
+validator) in the same way; those of stats.json and buckets.json before the
+output formats moved into cli.py.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ INGEST_LINES = [
 ]
 
 INGEST_GOLDEN = {
+    "buckets.json":
+        "64b59834a76f2aab779c4a39e418fae4923d4e120469ffb8142406deb10525cf",
     "histogram.csv":
         "2c738bbb46461cc427cbad2154d8c673a4e8741b4167eed83d04d444ac4f013a",
     "mean_lag.csv":
@@ -133,6 +136,8 @@ INGEST_GOLDEN = {
         "61ff0734c88710b09115d970c9c913b3064a9fb2b998241977117ac3e9455818",
     "scores.csv":
         "b75e6bd199d1db5436e4e416e1f915a5ce49945d96b9c1234fdedc7c9236f57f",
+    "stats.json":
+        "414450a6452d9a3a002d18212c14db030c85c8a235e0ad5abd00b453f0e963c7",
     "wordfreq.csv":
         "05715cc8c6a5bb513dcecb837c161156c412a7aab180dc2e677020c016f681b8",
 }

@@ -2,8 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from moodtrends.lexicon import (SCALES, LexiconError, MoodScale,
-                                compile_lexicon, load_lexicon)
+from moodtrends.lexicon import SCALES, LexiconError, compile_lexicon, load_lexicon
 
 MINIMAL = """\
 # version: mini-1
@@ -35,7 +34,7 @@ class TestLoadLexicon:
         lex = load_lines(MINIMAL)
         assert len(lex.entries) == 6
         assert lex.version == "mini-1"
-        assert lex.scales_covered() == set(SCALES)
+        assert {e.scale for e in lex.entries} == set(SCALES)
 
     def test_extended_phrase_list_parsed(self):
         lex = load_lines(MINIMAL.replace(
@@ -107,7 +106,7 @@ class TestCompile:
         assert w.code == "stem-collision"
         assert w.term == "dazed"
         assert w.colliding_term == "angry"
-        assert "cross" in w.as_line()
+        assert w.sequence == ("cross",)
 
     def test_compile_idempotent(self, default_lexicon):
         a = compile_lexicon(default_lexicon)
@@ -125,14 +124,15 @@ class TestCompile:
 
     def test_scale_of_total_over_main_terms(self, default_lexicon):
         m = compile_lexicon(default_lexicon)
-        for term in m.main_terms:
-            assert isinstance(m.scale_of[term], MoodScale)
+        assert len(m.scale_index) == len(m.main_terms)
+        for i, entry in enumerate(default_lexicon.entries):
+            assert SCALES[m.scale_index[i]] is entry.scale
 
 
 class TestDefaultLexicon:
     def test_loads_clean(self, default_lexicon, matcher):
         assert matcher.warnings == []
-        assert default_lexicon.scales_covered() == set(SCALES)
+        assert {e.scale for e in default_lexicon.entries} == set(SCALES)
         assert len(default_lexicon.entries) >= 6
 
     def test_worked_example_terms_present(self, matcher):

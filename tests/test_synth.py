@@ -21,16 +21,12 @@ def step_specs(noise: float = 0.0):
 
 class TestProfiles:
     def test_parse_shapes(self):
-        fn, label = parse_profile("constant(2.5)")
+        fn = parse_profile("constant(2.5)")
         assert fn(0) == fn(9) == 2.5
-        assert label == "constant(2.5)"
-        fn, _ = parse_profile("linear(0.5)")
-        assert fn(4) == 2.0
-        fn, _ = parse_profile("linear(0.5, 1)")
-        assert fn(4) == 3.0
-        fn, _ = parse_profile("quadratic(1, 0, 0.25)")
-        assert fn(2) == 2.0
-        fn, _ = parse_profile("step(1, 6, 5)")
+        assert parse_profile("linear(0.5)")(4) == 2.0
+        assert parse_profile("linear(0.5, 1)")(4) == 3.0
+        assert parse_profile("quadratic(1, 0, 0.25)")(2) == 2.0
+        fn = parse_profile("step(1, 6, 5)")
         assert fn(4) == 1 and fn(5) == 6
 
     def test_bad_profiles_rejected(self):

@@ -2,11 +2,23 @@ from __future__ import annotations
 
 import string
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moodtrends import porter
 from moodtrends.textproc import porter_stem, tokenize
+
+
+def old_tokenize(text: str) -> list[str]:
+    """The run-then-strip tokenizer the single regex replaced; the reference."""
+    out = []
+    for run in re.findall(r"[a-z']+", text.lower()):
+        word = run.strip("'")
+        if word:
+            out.append(word)
+    return out
 
 
 class TestTokenize:
@@ -46,6 +58,12 @@ class TestTokenize:
     @settings(max_examples=200)
     def test_concatenation_with_separator(self, left, right):
         assert tokenize(left + " " + right) == tokenize(left) + tokenize(right)
+
+    @given(st.text(st.one_of(st.sampled_from("ab'' -ZİK\n1."), st.characters()),
+                   max_size=60))
+    @settings(max_examples=500)
+    def test_matches_run_then_strip_reference(self, text):
+        assert tokenize(text) == old_tokenize(text)
 
 
 class TestPorterStem:
