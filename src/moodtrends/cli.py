@@ -65,17 +65,22 @@ def _replacing(path: Path):
     ``.<name>.tmp`` (parent directories are made as needed), moved onto path
     when the block ends. path holds either its old bytes or all of the new
     ones; the temp file never outlives the block. A failed write is a
-    UsageError, since every output path comes from a flag or config value."""
-    tmp = path.with_name(f".{path.name}.tmp")
+    UsageError, since every output path comes from a flag or config value;
+    when the parent directory cannot be made, it names that directory."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: cannot make directory "
+                         f"{exc.filename}: {exc.strerror or exc}") from None
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
-        with contextlib.suppress(OSError):  # e.g. the parent is not a directory
+        with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
 
 
@@ -216,10 +221,19 @@ def _read_scores_csv(path) -> list[ScoredRecord]:
 
 
 def _scores_row(row: list[str]) -> ScoredRecord:
+    """One scores.csv row, held to what score can write: components in
+    [0, 1], all zero exactly when match_count is 0."""
     if len(row) != len(SCORES_HEADER):
         raise ValueError(f"expected {len(SCORES_HEADER)} fields, got {len(row)}")
-    return ScoredRecord(row[0], int(row[1]), tuple(float(v) for v in row[2:8]),
-                        int(row[8]))
+    components = tuple(float(v) for v in row[2:8])
+    match_count = int(row[8])
+    if not all(0.0 <= c <= 1.0 for c in components):  # nan fails this too
+        raise ValueError(f"components not all in [0, 1]: {','.join(row[2:8])}")
+    if match_count < 0:
+        raise ValueError(f"negative match_count {match_count}")
+    if (match_count > 0) != any(components):
+        raise ValueError(f"match_count {match_count} disagrees with the components")
+    return ScoredRecord(row[0], int(row[1]), components, match_count)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

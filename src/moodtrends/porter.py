@@ -7,105 +7,62 @@ of length <= 2 are returned untouched). This is the variant the published
 sample vocabulary / output pair was generated with, so conformance is
 testable word-for-word.
 
+Every condition is read from the word's consonant/vowel pattern ``cv``, one
+``c`` or ``v`` per letter: ``a e i o u`` are vowels, ``y`` is a consonant at
+the start of the word or after a vowel and a vowel after a consonant, and
+every other letter is a consonant. A letter's class depends only on the
+letters before it, so a stem ``b[:k]`` has the pattern ``cv[:k]``. Its
+measure m is ``cv[:k].count("vc")``, *v* is ``"v" in cv[:k]``, and *o* is
+``cv[:k].endswith("cvc")`` with the last letter not w, x or y; a double
+consonant ending is ``b[-1] == b[-2]`` with ``cv[-1] == "c"``. A pattern
+is built only for the stem that a matched suffix leaves.
+
 Input domain is lowercase ASCII letter strings; callers strip anything else
 first (see :mod:`moodtrends.textproc`).
 """
 
 from __future__ import annotations
 
-_VOWELS = frozenset("aeiou")
+_CV = str.maketrans("abcdefghijklmnopqrstuvwxyz", "vcccvcccvcccccvcccccvccccc")
 
 
-def _cons(b: str, i: int) -> bool:
-    ch = b[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return True if i == 0 else not _cons(b, i - 1)
-    return True
+def _pattern(b: str) -> str:
+    cv = b.translate(_CV)
+    i = b.find("y", 1)
+    while i > 0:
+        if cv[i - 1] == "c":
+            cv = f"{cv[:i]}v{cv[i + 1:]}"
+        i = b.find("y", i + 1)
+    return cv
 
 
-def _measure(b: str, j: int) -> int:
-    """Number of vowel-consonant sequences in b[0..j] (the algorithm's m)."""
-    n = 0
-    i = 0
-    while True:
-        if i > j:
-            return n
-        if not _cons(b, i):
-            break
-        i += 1
-    i += 1
-    while True:
-        while True:
-            if i > j:
-                return n
-            if _cons(b, i):
-                break
-            i += 1
-        i += 1
-        n += 1
-        while True:
-            if i > j:
-                return n
-            if not _cons(b, i):
-                break
-            i += 1
-        i += 1
-
-
-def _vowel_in_stem(b: str, j: int) -> bool:
-    return any(not _cons(b, i) for i in range(j + 1))
-
-
-def _double_cons(b: str) -> bool:
-    return len(b) >= 2 and b[-1] == b[-2] and _cons(b, len(b) - 1)
-
-
-def _cvc(b: str, i: int) -> bool:
-    # consonant-vowel-consonant ending at i, last consonant not w, x or y
-    if i < 2 or not _cons(b, i) or _cons(b, i - 1) or not _cons(b, i - 2):
-        return False
-    return b[i] not in "wxy"
+def _cvc(b: str, cv: str) -> bool:
+    return cv.endswith("cvc") and b[-1] not in "wxy"
 
 
 def _step1ab(b: str) -> str:
-    if b.endswith("s"):
-        if b.endswith("sses"):
-            b = b[:-2]
-        elif b.endswith("ies"):
-            b = b[:-2]
-        elif not b.endswith("ss"):
-            b = b[:-1]
+    if b.endswith(("sses", "ies")):
+        b = b[:-2]
+    elif b.endswith("s") and not b.endswith("ss"):
+        b = b[:-1]
     if b.endswith("eed"):
-        if _measure(b, len(b) - 4) > 0:
-            b = b[:-1]
-    elif b.endswith("ed") and _vowel_in_stem(b, len(b) - 3):
-        b = _tidy_after_deletion(b[:-2])
-    elif b.endswith("ing") and _vowel_in_stem(b, len(b) - 4):
-        b = _tidy_after_deletion(b[:-3])
-    return b
+        return b[:-1] if _pattern(b[:-3]).count("vc") else b
+    stem = b[:-2] if b.endswith("ed") else b[:-3] if b.endswith("ing") else ""
+    cv = _pattern(stem)
+    if "v" not in cv:
+        return b
+    if stem.endswith(("at", "bl", "iz")):
+        return stem + "e"
+    if stem[-1] == stem[-2:-1] and cv[-1] == "c":
+        return stem if stem[-1] in "lsz" else stem[:-1]
+    if cv.count("vc") == 1 and _cvc(stem, cv):
+        return stem + "e"
+    return stem
 
 
-def _tidy_after_deletion(b: str) -> str:
-    if b.endswith(("at", "bl", "iz")):
-        return b + "e"
-    if _double_cons(b):
-        return b if b[-1] in "lsz" else b[:-1]
-    if _measure(b, len(b) - 1) == 1 and _cvc(b, len(b) - 1):
-        return b + "e"
-    return b
-
-
-def _step1c(b: str) -> str:
-    if b.endswith("y") and _vowel_in_stem(b, len(b) - 2):
-        b = b[:-1] + "i"
-    return b
-
-
-# (suffix, replacement) groups keyed by the second-to-last character; within a
-# group the first suffix that matches consumes the step, whether or not the
-# measure condition lets the replacement happen.
+# (suffix, replacement) groups keyed by the word's second-to-last letter
+# (steps 2 and 4) or last letter (step 3); within a group the first suffix that
+# matches consumes the step, whether or not the measure allows the replacement.
 _STEP2 = {
     "a": (("ational", "ate"), ("tional", "tion")),
     "c": (("enci", "ence"), ("anci", "ance")),
@@ -127,69 +84,24 @@ _STEP3 = {
 }
 
 _STEP4 = {
-    "a": ("al",),
-    "c": ("ance", "ence"),
-    "e": ("er",),
-    "i": ("ic",),
-    "l": ("able", "ible"),
-    "n": ("ant", "ement", "ment", "ent"),
-    "s": ("ism",),
-    "t": ("ate", "iti"),
-    "u": ("ous",),
-    "v": ("ive",),
-    "z": ("ize",),
+    "a": (("al", ""),), "c": (("ance", ""), ("ence", "")), "e": (("er", ""),),
+    "i": (("ic", ""),), "l": (("able", ""), ("ible", "")),
+    "n": (("ant", ""), ("ement", ""), ("ment", ""), ("ent", "")),
+    "o": (("ion", ""), ("ou", "")), "s": (("ism", ""),),
+    "t": (("ate", ""), ("iti", "")), "u": (("ous", ""),), "v": (("ive", ""),),
+    "z": (("ize", ""),),
 }
 
 
-def _step2(b: str) -> str:
-    for suffix, repl in _STEP2.get(b[-2:-1], ()):
+def _replace(b: str, table: dict, key: str, min_m: int) -> str:
+    """Swap the first suffix of table[key] that b ends with for its
+    replacement, if the measure of the stem before it exceeds min_m."""
+    for suffix, repl in table.get(key, ()):
         if b.endswith(suffix):
-            stem = len(b) - len(suffix)
-            if _measure(b, stem - 1) > 0:
-                b = b[:stem] + repl
-            break
-    return b
-
-
-def _step3(b: str) -> str:
-    for suffix, repl in _STEP3.get(b[-1], ()):
-        if b.endswith(suffix):
-            stem = len(b) - len(suffix)
-            if _measure(b, stem - 1) > 0:
-                b = b[:stem] + repl
-            break
-    return b
-
-
-def _step4(b: str) -> str:
-    penult = b[-2:-1]
-    if penult == "o":
-        # -ion only counts when the stem ends in s or t; otherwise -ou
-        if b.endswith("ion") and len(b) >= 4 and b[-4] in "st":
-            stem = len(b) - 3
-        elif b.endswith("ou"):
-            stem = len(b) - 2
-        else:
-            return b
-        if _measure(b, stem - 1) > 1:
-            b = b[:stem]
-        return b
-    for suffix in _STEP4.get(penult, ()):
-        if b.endswith(suffix):
-            stem = len(b) - len(suffix)
-            if _measure(b, stem - 1) > 1:
-                b = b[:stem]
-            break
-    return b
-
-
-def _step5(b: str) -> str:
-    if b.endswith("e"):
-        a = _measure(b, len(b) - 1)
-        if a > 1 or (a == 1 and not _cvc(b, len(b) - 2)):
-            b = b[:-1]
-    if b.endswith("l") and _double_cons(b) and _measure(b, len(b) - 1) > 1:
-        b = b[:-1]
+            if suffix == "ion" and not b.endswith(("sion", "tion")):
+                continue  # -ion needs a stem ending in s or t; try -ou
+            stem = b[:-len(suffix)]
+            return stem + repl if _pattern(stem).count("vc") > min_m else b
     return b
 
 
@@ -198,9 +110,16 @@ def stem(word: str) -> str:
     if len(word) <= 2:
         return word
     b = _step1ab(word)
-    b = _step1c(b)
-    b = _step2(b)
-    b = _step3(b)
-    b = _step4(b)
-    b = _step5(b)
+    if b.endswith("y") and "v" in _pattern(b[:-1]):  # step 1c
+        b = b[:-1] + "i"
+    b = _replace(b, _STEP2, b[-2:-1], 0)
+    b = _replace(b, _STEP3, b[-1], 0)
+    b = _replace(b, _STEP4, b[-2:-1], 1)
+    if b.endswith("e"):  # step 5
+        cv = _pattern(b[:-1])
+        m = cv.count("vc")
+        if m > 1 or m == 1 and not _cvc(b[:-1], cv):
+            b = b[:-1]
+    if b.endswith("ll") and _pattern(b).count("vc") > 1:
+        b = b[:-1]
     return b

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 import time
 
+import numpy as np
 import pytest
 
 from conftest import PORTER_DATA, make_record
@@ -27,7 +29,8 @@ from moodtrends.cli import EXIT_OK, main
 from moodtrends.corpus import filter_english
 from moodtrends.lexicon import SCALES, MoodScale
 from moodtrends.scoring import match_counts, score_corpus, score_record
-from moodtrends.stats import ks_two_sample, pairwise_ks, polyfit2, zscore_series
+from moodtrends.stats import (build_trend, ks_two_sample, pairwise_ks, polyfit2,
+                              zscore_series)
 from moodtrends.synth import generate_corpus, make_trend_spec
 from moodtrends.textproc import porter_stem, tokenize
 
@@ -271,6 +274,49 @@ def test_c5_planted_trend_recovery(default_lexicon, matcher):
     assert recovered_runs >= 95
     assert mean_false_rate <= 0.07
     assert elapsed < 300
+
+
+def test_c5b_planted_curvature_recovery(default_lexicon, matcher):
+    """The paper reads its trends as shapes (long-term optimism, medium-term
+    apprehension and confusion), so the sign of the fitted quadratic term c2
+    must survive the full pipeline. Bounds, fixed before the first run: the
+    planted sign in >= 95/100 runs per shape, and each shape's median |c2|
+    above the 95th percentile of |c2| on constant null corpora."""
+    t0 = time.perf_counter()
+    years = range(2007, 2017)
+    anchor = make_trend_spec(MoodScale.VIGOR, "constant(3)", noise_sd=0.5)
+
+    def fitted_c2(dimension, profile, seeds):
+        specs = [make_trend_spec(dimension, profile, noise_sd=0.5), anchor]
+        out = []
+        for seed in seeds:
+            records = generate_corpus(specs, years, 50, default_lexicon, seed=seed)
+            buckets = score_corpus(filter_english(records).kept, matcher)
+            out.append(build_trend(buckets, dimension).fit_coeffs[2])
+        return out
+
+    hump = fitted_c2(MoodScale.TENSION, "quadratic(1, 1.2, -0.12)", range(100))
+    bowl = fitted_c2(MoodScale.CONFUSION, "quadratic(4, -1.2, 0.12)", range(1000, 1100))
+    null = [abs(c) for c in fitted_c2(MoodScale.TENSION, "constant(2)",
+                                      range(10_000, 10_100))]
+    hump_signed = sum(c < 0 for c in hump)
+    bowl_signed = sum(c > 0 for c in bowl)
+    hump_median = statistics.median(abs(c) for c in hump)
+    bowl_median = statistics.median(abs(c) for c in bowl)
+    null_p95 = float(np.percentile(null, 95))
+
+    elapsed = time.perf_counter() - t0
+    ok = (hump_signed >= 95 and bowl_signed >= 95
+          and min(hump_median, bowl_median) > null_p95)
+    report(f"5b planted-curvature-recovery: {'PASS' if ok else 'FAIL'} "
+           f"(hump c2 < 0 in {hump_signed}/100 >= 95; bowl c2 > 0 in "
+           f"{bowl_signed}/100 >= 95; median |c2| hump {hump_median:.3f}, bowl "
+           f"{bowl_median:.3f} > null p95 {null_p95:.3f}; null |c2| median "
+           f"{statistics.median(null):.3f}, max {max(null):.3f}; {elapsed:.0f}s)")
+    assert hump_signed >= 95
+    assert bowl_signed >= 95
+    assert hump_median > null_p95
+    assert bowl_median > null_p95
 
 
 # --------------------------------------------------------------------------

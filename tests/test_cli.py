@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_record
 from moodtrends.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from moodtrends.corpus import format_record_line, parse_corpus_file
+from moodtrends.lexicon import load_default_lexicon
 
 STEP_SPEC = """\
 years = 2007-2016
@@ -270,6 +276,31 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--scores", str(scores),
                      "--output-dir", str(tmp_path / "an")]) == EXIT_DATA
         assert "bad scores.csv line 302" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [
+        "x,2010,nan,0,0,0,0,0,1",
+        "x,2010,inf,0,0,0,0,0,1",
+        "x,2010,5.0,0,0,0,0,0,1",
+        "x,2010,-0.25,1.0,0,0,0,0,2",
+        "x,2010,1.0,0,0,0,0,0,-1",
+        "x,2010,1.0,0,0,0,0,0,0",
+        "x,2010,0,0,0,0,0,0,3",
+    ], ids=["nan", "inf", "above-1", "below-0", "negative-count",
+            "zero-count-with-hits", "count-without-hits"])
+    def test_impossible_scores_row_exits_2(self, tmp_path, step_corpus, capsys, row):
+        score_out = tmp_path / "score"
+        assert main(["score", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
+                     "--output-dir", str(score_out)]) == EXIT_OK
+        scores = score_out / "scores.csv"
+        with open(scores, "a") as fh:
+            fh.write(row + "\n")
+        capsys.readouterr()
+        assert main(["analyze", "--scores", str(scores),
+                     "--output-dir", str(tmp_path / "an")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        one_error_line(err)
+        assert "error: bad scores.csv line 302: " in err
+        assert not (tmp_path / "an").exists()
 
     def test_scores_path_respects_year_range(self, tmp_path, step_corpus):
         score_out = tmp_path / "score"
@@ -542,6 +573,76 @@ class TestOutputWriter:
         assert not list(tmp_path.rglob(".*.tmp"))
         assert blocker.is_dir() if case == "out-is-a-directory" else \
             blocker.read_text() == "keep me\n"
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-a-file"])
+    def test_unmakeable_output_dir_named(self, tmp_path, step_corpus, capsys, sub):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep me\n")
+        out_dir = blocker / sub
+        capsys.readouterr()
+        assert main(["stats", "--corpus", str(step_corpus),
+                     "--output-dir", str(out_dir)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        one_error_line(err)
+        assert (f"error: cannot write {out_dir / 'histogram.csv'}: "
+                f"cannot make directory {out_dir}: ") in err
+        assert blocker.read_text() == "keep me\n"
+
+
+# record ids the corpus accepts: non-blank, no tab, line break or lone surrogate
+_IDS = st.text(st.characters(blacklist_categories=("Cs",),
+                             blacklist_characters="\t\r\n"),
+               min_size=1, max_size=12).filter(str.strip)
+_BODY_WORDS = st.one_of(
+    st.text(max_size=15),
+    st.sampled_from([e.main_term for e in load_default_lexicon().entries]),
+    st.sampled_from(["the", "and", "i", "you", "to"]))
+
+
+@st.composite
+def _jsonl_corpora(draw):
+    years = draw(st.lists(st.integers(2007, 2040), min_size=2, max_size=4, unique=True))
+    records = draw(st.lists(
+        st.tuples(_IDS, st.sampled_from(years),
+                  st.lists(_BODY_WORDS, max_size=12).map(" ".join)),
+        min_size=1, max_size=12))
+    return "".join(json.dumps({"id": rec_id, "compose_date": "2006-01-01",
+                               "delivery_date": f"{year}-06-15", "body": body}) + "\n"
+                   for rec_id, year, body in records)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), [l for l in err.getvalue().splitlines()
+                                if l.startswith("error:")]
+
+
+@given(_jsonl_corpora())
+@settings(max_examples=30, deadline=None)
+def test_score_then_analyze_scores_equals_inline(corpus_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus = tmp / "corpus.jsonl"
+        corpus.write_text(corpus_text, encoding="utf-8")
+        source = ["--corpus", str(corpus), "--corpus-format", "jsonl",
+                  "--lexicon", str(LEXICON)]
+        assert _run(["score", *source, "--output-dir", str(tmp / "score")])[0] == EXIT_OK
+        staged = _run(["analyze", "--scores", str(tmp / "score" / "scores.csv"),
+                       "--output-dir", str(tmp / "staged")])
+        inline = _run(["analyze", *source, "--output-dir", str(tmp / "inline")])
+        assert staged == inline
+        event(f"analyze exit {inline[0]}")
+        if inline[0] != EXIT_OK:
+            assert inline[0] == EXIT_DATA
+            assert inline[2] and "need at least two non-empty year buckets" in inline[2][0]
+            return
+        names = sorted(p.name for p in (tmp / "inline").iterdir())
+        assert names == sorted(p.name for p in (tmp / "staged").iterdir())
+        for name in names:
+            assert (tmp / "inline" / name).read_bytes() == \
+                (tmp / "staged" / name).read_bytes(), name
 
 
 def test_every_flag_is_a_config_key():

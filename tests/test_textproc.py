@@ -4,9 +4,10 @@ import string
 
 import re
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import porter_reference
 from moodtrends import porter
 from moodtrends.textproc import porter_stem, tokenize
 
@@ -110,6 +111,22 @@ class TestPorterStem:
     @settings(max_examples=200)
     def test_stem_is_lowercase_letters(self, word):
         assert set(porter.stem(word)) <= set(string.ascii_lowercase)
+
+    @given(st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=20)
+           | st.text(alphabet="aeiylnost", min_size=1, max_size=20))
+    @example("yyy")
+    @example("kyy")
+    @example("dyby")
+    @example("syzygy")
+    @example("onion")
+    @example("opinion")
+    @example("adoption")
+    @example("fizzed")
+    @settings(max_examples=1000)
+    def test_matches_character_port_reference(self, word):
+        # tests/porter_reference.py is the character-by-character port of the
+        # C reference that the consonant/vowel-pattern stemmer replaced
+        assert porter.stem(word) == porter_reference.stem(word)
 
 
 class TestPorterWrapper:
