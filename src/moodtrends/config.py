@@ -52,14 +52,15 @@ class PipelineConfig:
         return (self.year_min, self.year_max)
 
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
-    """Read a flat key = value file; ``#`` starts a comment line."""
+    """Read a flat key = value file; ``#`` starts a comment line and a
+    leading UTF-8 byte-order mark is skipped."""
     pairs: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -73,19 +74,8 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
 
 def _coerce(name: str, value: str, target_type: type) -> object:
     try:
-        if target_type is bool:
-            low = value.lower()
-            if low in _BOOL_TRUE:
-                return True
-            if low in _BOOL_FALSE:
-                return False
-            raise ValueError(value)
-        if target_type is int:
-            return int(value)
-        if target_type is float:
-            return float(value)
-        return value
-    except ValueError:
+        return _BOOLS[value.lower()] if target_type is bool else target_type(value)
+    except (KeyError, ValueError):
         raise ConfigError(f"bad value for {name}: {value!r}") from None
 
 

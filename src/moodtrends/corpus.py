@@ -7,8 +7,9 @@ tsv (delimited records, the native format)::
 
     id<TAB>compose_date<TAB>delivery_date<TAB>body
 
-  Dates are ISO-8601 (YYYY-MM-DD). The body is backslash-escaped: ``\\t``,
-  ``\\n``, ``\\r``, ``\\\\``. One record per line; the id is trimmed.
+  Dates are exactly YYYY-MM-DD in ASCII digits. The body is
+  backslash-escaped: ``\\t``, ``\\n``, ``\\r``, ``\\\\``. One record per
+  line; the id is trimmed.
 
 jsonl (one JSON object per line)::
 
@@ -86,6 +87,7 @@ _UNESCAPES = {"t": "\t", "n": "\n", "r": "\r"}
 _JSON_KEYS = ("id", "compose_date", "delivery_date", "body")
 # what a record id may not hold: a tab, a line break or a lone surrogate
 _BAD_ID = re.compile("[\t\r\n\ud800-\udfff]")
+_ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def escape_body(body: str) -> str:
@@ -138,6 +140,15 @@ def _fields(line: str, fmt: str) -> tuple[str, str, str, str]:
     return obj["id"], obj["compose_date"], obj["delivery_date"], obj["body"]
 
 
+def _date(text: str) -> dt.date:
+    """A stripped YYYY-MM-DD date; fromisoformat alone also takes the basic
+    and week forms on Python 3.11+."""
+    text = text.strip()
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def _parse_line(raw_line: bytes, fmt: str) -> EmailRecord:
     try:
         line = raw_line.decode("utf-8")
@@ -150,8 +161,7 @@ def _parse_line(raw_line: bytes, fmt: str) -> EmailRecord:
         raise _Rejected("", REJECT_BAD_FIELDS,
                         "record id contains a tab, a line break or a lone surrogate")
     try:
-        compose_date = dt.date.fromisoformat(compose.strip())
-        delivery_date = dt.date.fromisoformat(delivery.strip())
+        compose_date, delivery_date = _date(compose), _date(delivery)
     except ValueError as exc:
         raise _Rejected(rec_id, REJECT_BAD_DATE, str(exc)) from None
     if delivery_date < compose_date:
@@ -211,16 +221,15 @@ class FilterResult:
 
 
 def filter_english(records: Iterable[EmailRecord],
-                   threshold: float = DEFAULT_ENGLISH_THRESHOLD,
-                   function_words: frozenset[str] | None = None) -> FilterResult:
+                   threshold: float = DEFAULT_ENGLISH_THRESHOLD) -> FilterResult:
     """Partition records by function-word ratio.
 
-    A record is kept when (function-word tokens / total tokens) >= threshold.
+    A record is kept when (function-word tokens / total tokens) >= threshold,
+    counting the bundled ``data/function_words.txt`` list.
     Records with fewer than five tokens are too short to judge; they are kept
     and their ids flagged. kept + rejected is always the full input.
     """
-    if function_words is None:
-        function_words = frozenset(load_word_list("function_words"))
+    function_words = frozenset(load_word_list("function_words"))
     kept: list[EmailRecord] = []
     rejected: list[EmailRecord] = []
     flagged: list[str] = []

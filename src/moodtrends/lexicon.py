@@ -68,6 +68,16 @@ class CompileWarning:
     sequence: tuple[str, ...]
 
 
+def _check_phrase(line_no: int, kind: str, phrase: str) -> None:
+    """A main term or extended phrase holds 1 to MAX_PHRASE_WORDS words."""
+    words = tokenize(phrase)
+    if not words:
+        raise LexiconError(f"line {line_no}: {kind} {phrase!r} has no alphabetic words")
+    if len(words) > MAX_PHRASE_WORDS:
+        raise LexiconError(
+            f"line {line_no}: {kind} {phrase!r} longer than {MAX_PHRASE_WORDS} words")
+
+
 def _parse_entry_line(line: str, line_no: int) -> LexiconEntry:
     parts = [p.strip() for p in line.split("|")]
     if len(parts) not in (2, 3):
@@ -77,12 +87,7 @@ def _parse_entry_line(line: str, line_no: int) -> LexiconEntry:
         raise LexiconError(f"line {line_no}: empty main term")
     if main_term != main_term.lower():
         raise LexiconError(f"line {line_no}: main term {main_term!r} must be lowercase")
-    main_words = tokenize(main_term)
-    if not main_words:
-        raise LexiconError(f"line {line_no}: main term {main_term!r} has no alphabetic words")
-    if len(main_words) > MAX_PHRASE_WORDS:
-        raise LexiconError(
-            f"line {line_no}: main term {main_term!r} longer than {MAX_PHRASE_WORDS} words")
+    _check_phrase(line_no, "main term", main_term)
     try:
         scale = MoodScale(scale_label.lower())
     except ValueError:
@@ -93,13 +98,7 @@ def _parse_entry_line(line: str, line_no: int) -> LexiconEntry:
             phrase = " ".join(raw.split()).lower()
             if not phrase:
                 raise LexiconError(f"line {line_no}: empty extended phrase under {main_term!r}")
-            words = tokenize(phrase)
-            if not words:
-                raise LexiconError(
-                    f"line {line_no}: phrase {phrase!r} has no alphabetic words")
-            if len(words) > MAX_PHRASE_WORDS:
-                raise LexiconError(
-                    f"line {line_no}: phrase {phrase!r} longer than {MAX_PHRASE_WORDS} words")
+            _check_phrase(line_no, "phrase", phrase)
             if phrase in extended:
                 raise LexiconError(
                     f"line {line_no}: duplicate phrase {phrase!r} under {main_term!r}")
@@ -144,7 +143,8 @@ def load_lexicon(source: IO[str] | Iterable[str] | str) -> MoodLexicon:
 
 
 def load_lexicon_file(path: str | Path) -> MoodLexicon:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Load a lexicon file; a leading UTF-8 byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return load_lexicon(fh)
 
 
@@ -181,41 +181,25 @@ def compile_lexicon(lex: MoodLexicon) -> CompiledMatcher:
     dropped silently. Re-compiling the same lexicon yields identical tables.
     """
     main_terms = tuple(e.main_term for e in lex.entries)
-    index_of = {t: i for i, t in enumerate(main_terms)}
     singles: dict[str, int] = {}
     phrases: dict[tuple[str, ...], int] = {}
     warnings: list[CompileWarning] = []
-    max_len = 1
-
-    def insert(seq: tuple[str, ...], owner_idx: int) -> None:
-        nonlocal max_len
-        table = singles if len(seq) == 1 else phrases
-        key = seq[0] if len(seq) == 1 else seq
-        existing = table.get(key)
-        if existing is not None:
-            if existing != owner_idx:
-                warnings.append(CompileWarning(
-                    code="stem-collision",
-                    term=main_terms[owner_idx],
-                    colliding_term=main_terms[existing],
-                    sequence=seq,
-                ))
-            return
-        table[key] = owner_idx
-        max_len = max(max_len, len(seq))
-
-    for entry in lex.entries:
-        owner = index_of[entry.main_term]
+    for owner, entry in enumerate(lex.entries):
         for phrase in (entry.main_term, *entry.extended):
             seq = tuple(porter_stem(w) for w in tokenize(phrase))
-            insert(seq, owner)
-
+            table, key = (singles, seq[0]) if len(seq) == 1 else (phrases, seq)
+            first = table.setdefault(key, owner)
+            if first != owner:
+                warnings.append(CompileWarning(code="stem-collision",
+                                               term=entry.main_term,
+                                               colliding_term=main_terms[first],
+                                               sequence=seq))
     return CompiledMatcher(
         main_terms=main_terms,
         scale_index=tuple(SCALE_INDEX[e.scale] for e in lex.entries),
         singles=singles,
         phrases=phrases,
         phrase_heads=frozenset(seq[0] for seq in phrases),
-        max_phrase_len=max_len,
+        max_phrase_len=max(map(len, phrases), default=1),
         warnings=warnings,
     )

@@ -9,6 +9,7 @@ planted intensities exactly.
 from __future__ import annotations
 
 import datetime as dt
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -31,20 +32,13 @@ class TrendSpec:
             raise ValueError("noise_sd must be >= 0")
 
 
-def constant(level: float) -> Callable[[int], float]:
-    return lambda i: level
-
-
-def linear(slope: float, intercept: float = 0.0) -> Callable[[int], float]:
-    return lambda i: intercept + slope * i
-
-
-def quadratic(a: float, b: float, c: float) -> Callable[[int], float]:
-    return lambda i: a + b * i + c * i * i
-
-
-def step(low: float, high: float, at_index: int) -> Callable[[int], float]:
-    return lambda i: high if i >= at_index else low
+# profile name -> (accepted argument counts, intensity at year index i)
+_PROFILES: dict[str, tuple[tuple[int, ...], Callable[..., float]]] = {
+    "constant": ((1,), lambda i, level: level),
+    "linear": ((1, 2), lambda i, slope, intercept=0.0: intercept + slope * i),
+    "quadratic": ((3,), lambda i, a, b, c: a + b * i + c * i * i),
+    "step": ((3,), lambda i, low, high, at_index: high if i >= int(at_index) else low),
+}
 
 
 def make_trend_spec(dimension: MoodScale, profile_expr: str,
@@ -113,17 +107,14 @@ def parse_profile(expr: str) -> Callable[[int], float]:
     args = [a.strip() for a in arg_text[:-1].split(",") if a.strip()]
     try:
         values = [float(a) for a in args]
+        if not all(map(math.isfinite, values)):
+            raise ValueError
     except ValueError:
         raise ValueError(f"bad profile arguments in {expr!r}") from None
-    if name == "constant" and len(values) == 1:
-        return constant(values[0])
-    if name == "linear" and len(values) in (1, 2):
-        return linear(*values)
-    if name == "quadratic" and len(values) == 3:
-        return quadratic(*values)
-    if name == "step" and len(values) == 3:
-        return step(values[0], values[1], int(values[2]))
-    raise ValueError(f"unknown profile {expr!r}")
+    counts, intensity = _PROFILES.get(name, ((), None))
+    if len(values) not in counts:
+        raise ValueError(f"unknown profile {expr!r}")
+    return lambda i: intensity(i, *values)
 
 
 # Every filler slot pairs one of these with a neutral noun so generated
@@ -177,11 +168,10 @@ def generate_corpus(specs: Sequence[TrendSpec], years: Sequence[int],
     if origin_year > years[0]:
         raise ValueError("origin_year must not exceed the first bucket year")
     terms_by_scale = _scale_terms(lexicon)
+    seen_dims = set()
     for spec in specs:
         if not terms_by_scale.get(spec.dimension):
             raise ValueError(f"no lexicon entries for scale {spec.dimension}")
-    seen_dims = set()
-    for spec in specs:
         if spec.dimension in seen_dims:
             raise ValueError(f"duplicate trend spec for {spec.dimension}")
         seen_dims.add(spec.dimension)

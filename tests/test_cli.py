@@ -662,3 +662,147 @@ def test_every_flag_is_a_config_key():
                 assert action.type is None and action.choices is None
         reachable |= dests
     assert reachable == set(KEY_TYPES)
+
+
+# --- hand-edited formats: one exact error line and exit code per rule ---
+
+LEXICON_BASE = """\
+# version: pinned-1
+tense | tension | uptight
+sad | depression | sorrowful
+angry | anger | mad
+lively | vigor | spirited
+weary | fatigue | worn out
+dazed | confusion | foggy
+"""
+
+SYNTH_BASE = """\
+years = 2007-2009
+emails_per_year = 2
+seed = 1
+trend.vigor = constant(3)
+"""
+
+
+def _error_of(argv, capsys):
+    capsys.readouterr()
+    rc = main(argv)
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("blue | tension | calm | cool",
+     "expected 'main | scale | phrases', got 'blue | tension | calm | cool'"),
+    (" | tension | calm", "empty main term"),
+    ("42 | tension", "main term '42' has no alphabetic words"),
+    ("very very very very tense | tension",
+     "main term 'very very very very tense' longer than 4 words"),
+    ("blue | tension | calm,, cool", "empty extended phrase under 'blue'"),
+    ("blue | tension | calm, 42", "phrase '42' has no alphabetic words"),
+    ("blue | tension | One  two three four five",
+     "phrase 'one two three four five' longer than 4 words"),
+], ids=["field-count", "empty-main", "main-no-letters", "main-too-long",
+        "empty-phrase", "phrase-no-letters", "phrase-too-long"])
+def test_lexicon_rule_error_line(tmp_path, capsys, line, message):
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text(LEXICON_BASE + line + "\n")
+    corpus = tmp_path / "empty.tsv"
+    corpus.write_text("")
+    rc, err = _error_of(["score", "--corpus", str(corpus), "--lexicon", str(lexicon),
+                         "--output-dir", str(tmp_path / "o")], capsys)
+    assert (rc, err) == (EXIT_DATA, f"error: line 8: {message}\n")
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("seed = 1", "wibble = 1", "unknown synth spec key 'wibble'"),
+    ("seed = 1", "trend.energy = constant(1)", "unknown scale in 'trend.energy'"),
+    ("years = 2007-2009\n", "", "synth spec needs a years = MIN-MAX line"),
+    ("2007-2009", "2007-later", "bad years value '2007-later'"),
+    ("2007-2009", "2009-2007", "empty year range '2009-2007'"),
+    ("trend.vigor = constant(3)\n", "", "synth spec defines no trend.<scale> lines"),
+    ("constant(3)", "constant 3", "bad profile expression 'constant 3'"),
+    ("constant(3)", "constant(three)", "bad profile arguments in 'constant(three)'"),
+    ("constant(3)", "wobble(1)", "unknown profile 'wobble(1)'"),
+    ("constant(3)", "step(1, 2)", "unknown profile 'step(1, 2)'"),
+    ("constant(3)", "linear(1, 2, 3)", "unknown profile 'linear(1, 2, 3)'"),
+    ("seed = 1", "noise_sd = -0.5", "noise_sd must be >= 0"),
+    ("seed = 1", "noise_sd.vigor = -1", "noise_sd must be >= 0"),
+], ids=["unknown-key", "unknown-scale", "missing-years", "bad-years", "empty-range",
+        "no-trend", "bad-expression", "bad-arguments", "unknown-profile",
+        "step-arity", "linear-arity", "negative-noise", "negative-scale-noise"])
+def test_synth_spec_rule_error_line(tmp_path, capsys, old, new, message):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(SYNTH_BASE.replace(old, new))
+    rc, err = _error_of(["synth", "--spec", str(spec), "--out", str(tmp_path / "x.tsv")],
+                        capsys)
+    assert (rc, err) == (EXIT_DATA, f"error: bad synth spec: {message}\n")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("wibble = 3", "unknown config key 'wibble'"),
+    ("emit_svg = maybe", "bad value for emit_svg: 'maybe'"),
+    ("top_n = ten", "bad value for top_n: 'ten'"),
+    ("year_min = soon", "bad value for year_min: 'soon'"),
+    ("english_threshold = high", "bad value for english_threshold: 'high'"),
+], ids=["unknown-key", "bool", "int", "optional-int", "float"])
+def test_config_rule_error_line(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.conf"
+    cfg.write_text(f"corpus_path = x\n{line}\n")
+    rc, err = _error_of(["stats", "--config", str(cfg)], capsys)
+    assert (rc, err) == (EXIT_USAGE, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("word,value", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+    ("0", False), ("False", False), ("NO", False), ("off", False)])
+def test_config_bool_words(tmp_path, word, value):
+    from moodtrends.config import load_config
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(f"emit_svg = {word}\n")
+    assert load_config(cfg).emit_svg is value
+
+
+BOM = "\ufeff"
+
+
+def test_config_with_bom_accepted(tmp_path):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text(format_record_line(make_record("hope", delivery="2010-01-01")) + "\n")
+    cfg = tmp_path / "run.conf"
+    out = tmp_path / "from_bom_config"
+    cfg.write_text(f"{BOM}output_dir = {out}\ncorpus_path = {corpus}\n", encoding="utf-8")
+    assert main(["stats", "--config", str(cfg)]) == EXIT_OK
+    assert (out / "histogram.csv").read_text() == "delivery_year,count\n2010,1\n"
+
+
+def test_synth_spec_with_bom_accepted(tmp_path):
+    spec = tmp_path / "bom.spec"
+    spec.write_text(BOM + SYNTH_BASE, encoding="utf-8")
+    plain = tmp_path / "plain.spec"
+    plain.write_text(SYNTH_BASE, encoding="utf-8")
+    for path in (spec, plain):
+        assert main(["synth", "--spec", str(path),
+                     "--out", str(tmp_path / f"{path.stem}.tsv")]) == EXIT_OK
+    assert (tmp_path / "bom.tsv").read_bytes() == (tmp_path / "plain.tsv").read_bytes()
+
+
+def test_lexicon_with_bom_accepted(tmp_path):
+    from moodtrends.lexicon import load_lexicon, load_lexicon_file
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text(BOM + LEXICON_BASE, encoding="utf-8")
+    assert load_lexicon_file(lexicon) == load_lexicon(LEXICON_BASE)
+    corpus = tmp_path / "empty.tsv"
+    corpus.write_text("")
+    assert main(["score", "--corpus", str(corpus), "--lexicon", str(lexicon),
+                 "--output-dir", str(tmp_path / "o")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("profile", ["step(1, 6, inf)", "constant(nan)",
+                                     "linear(-inf)", "quadratic(1, 2, nan)"])
+def test_non_finite_profile_argument_rejected(tmp_path, capsys, profile):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(SYNTH_BASE.replace("constant(3)", profile))
+    rc, err = _error_of(["synth", "--spec", str(spec), "--out", str(tmp_path / "x.tsv")],
+                        capsys)
+    assert (rc, err) == (EXIT_DATA,
+                         f"error: bad synth spec: bad profile arguments in {profile!r}\n")

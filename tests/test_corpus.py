@@ -158,6 +158,33 @@ class TestParseCorpus:
         assert records == []
         assert [(r.line_no, r.code) for r in rejections] == [(1, REJECT_BAD_FIELDS)]
 
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    @pytest.mark.parametrize("field", ["compose", "delivery"])
+    @pytest.mark.parametrize("date", ["20240101", "2024W011", "2030-W01-1",
+                                      "2024-1-01", "\uff12\uff10\uff12\uff14-01-01",
+                                      "2009-02-30"])
+    def test_only_yyyy_mm_dd_dates_accepted(self, fmt, field, date):
+        dates = {"compose": "2006-03-01", "delivery": "2031-01-01", field: date}
+        line = (tsv_line(compose=dates["compose"], delivery=dates["delivery"])
+                if fmt == "tsv" else
+                json.dumps({"id": "a1", "compose_date": dates["compose"],
+                            "delivery_date": dates["delivery"], "body": "hello"}))
+        records, rejections = parse_corpus(line.encode(), fmt=fmt)
+        assert records == []
+        assert [(r.line_no, r.record_id, r.code) for r in rejections] == \
+            [(1, "a1", REJECT_BAD_DATE)]
+
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    def test_dates_with_surrounding_spaces_accepted(self, fmt):
+        line = (tsv_line(compose=" 2024-01-01 ", delivery="2030-06-15 ")
+                if fmt == "tsv" else
+                json.dumps({"id": "a1", "compose_date": " 2024-01-01 ",
+                            "delivery_date": " 2030-06-15\t", "body": "hello"}))
+        records, rejections = parse_corpus(line.encode(), fmt=fmt)
+        assert rejections == []
+        assert (records[0].compose_date, records[0].delivery_date) == \
+            (dt.date(2024, 1, 1), dt.date(2030, 6, 15))
+
     @pytest.mark.parametrize("bad", [b"[" * 100000, b'{"id": ' + b"1" * 5000 + b"}"],
                              ids=["deep-nesting", "huge-int"])
     def test_json_the_decoder_refuses_rejected(self, bad):
