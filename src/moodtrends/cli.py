@@ -185,12 +185,15 @@ def cmd_score(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.output_dir)
 
     # str() of a float is its shortest round-trip repr, so analyze --scores
-    # reads back exactly the vectors inline analysis uses
+    # reads back exactly the vectors inline analysis uses; a zero-match row
+    # prints its components as 0
     with _replacing(out_dir / "scores.csv") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SCORES_HEADER)
         for sc in rows:
-            writer.writerow([sc.id, sc.delivery_year, *sc.components, sc.match_count])
+            writer.writerow([sc.id, sc.delivery_year,
+                             *(c if sc.match_count else 0 for c in sc.components),
+                             sc.match_count])
     _write_lines(out_dir / "buckets.json",
                  [json.dumps(_buckets_json(buckets), indent=2, sort_keys=True)])
     _write_lines(out_dir / "rejections.txt", (
@@ -317,27 +320,19 @@ def cmd_stem(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# the config keys each pipeline subcommand takes as flags; a value is parsed
-# only by apply_overrides and checked only by PipelineConfig.validate
+# each pipeline subcommand: its help, the config keys it takes as flags and
+# its handler; a flag's value is parsed only by apply_overrides and checked
+# only by PipelineConfig.validate
 _CORPUS_KEYS = ("corpus_path", "corpus_format", "output_dir")
 _SCORE_KEYS = (*_CORPUS_KEYS, "lexicon_path", "english_threshold", "year_min", "year_max")
-_FLAG_KEYS = {
-    "stats": (*_CORPUS_KEYS, "top_n"),
-    "score": _SCORE_KEYS,
-    "analyze": (*_SCORE_KEYS, "alpha_significant", "alpha_marginal", "emit_svg"),
+_PIPELINE = {
+    "stats": ("corpus histogram and word table", (*_CORPUS_KEYS, "top_n"), cmd_stats),
+    "score": ("score every document into mood vectors", _SCORE_KEYS, cmd_score),
+    "analyze": ("pairwise KS tests and trend fits",
+                (*_SCORE_KEYS, "alpha_significant", "alpha_marginal", "emit_svg"),
+                cmd_analyze),
 }
 _FLAG_NAMES = {"corpus_path": "--corpus", "lexicon_path": "--lexicon"}
-
-
-def _add_config_flags(p: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
-    p.add_argument("--config", help="flat key = value config file")
-    for key in keys:
-        flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
-        if KEY_TYPES[key] is bool:
-            p.add_argument(flag, dest=key, action="store_const", const="true",
-                           help=f"set config key {key}")
-        else:
-            p.add_argument(flag, dest=key, help=f"config key {key}")
 
 
 def build_parser() -> _Parser:
@@ -346,19 +341,19 @@ def build_parser() -> _Parser:
                                  "future-dated message corpora")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_stats = sub.add_parser("stats", help="corpus histogram and word table")
-    _add_config_flags(p_stats, _FLAG_KEYS["stats"])
-    p_stats.set_defaults(func=cmd_stats)
-
-    p_score = sub.add_parser("score", help="score every document into mood vectors")
-    _add_config_flags(p_score, _FLAG_KEYS["score"])
-    p_score.set_defaults(func=cmd_score)
-
-    p_an = sub.add_parser("analyze", help="pairwise KS tests and trend fits")
-    _add_config_flags(p_an, _FLAG_KEYS["analyze"])
-    p_an.add_argument("--scores", help="reuse a scores.csv from a score run "
-                                       "instead of scoring inline")
-    p_an.set_defaults(func=cmd_analyze)
+    for name, (help_text, keys, func) in _PIPELINE.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="flat key = value config file")
+        for key in keys:
+            flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+            if KEY_TYPES[key] is bool:
+                p.add_argument(flag, dest=key, action="store_const", const="true",
+                               help=f"set config key {key}")
+            else:
+                p.add_argument(flag, dest=key, help=f"config key {key}")
+        p.set_defaults(func=func)
+    sub.choices["analyze"].add_argument(
+        "--scores", help="reuse a scores.csv from a score run instead of scoring inline")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
     p_synth.add_argument("--spec", required=True, help="synth spec file")

@@ -44,6 +44,9 @@ class PipelineConfig:
             raise ConfigError(f"english_threshold must be in [0, 1], got {self.english_threshold}")
         if self.top_n < 0:
             raise ConfigError("top_n must be >= 0")
+        for key in ("corpus_path", "lexicon_path", "output_dir"):
+            if "\0" in (getattr(self, key) or ""):
+                raise ConfigError(f"{key} contains a NUL byte")
 
     @property
     def year_range(self) -> tuple[int, int] | None:
@@ -57,9 +60,10 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
-    """Read a flat key = value file; ``#`` starts a comment line and a
-    leading UTF-8 byte-order mark is skipped."""
+    """Read a flat key = value file; ``#`` starts a comment line, a leading
+    UTF-8 byte-order mark is skipped and a key may appear only once."""
     pairs: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -68,7 +72,12 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
-            pairs[key.strip()] = value.strip()
+            key = key.strip()
+            if key in pairs:
+                raise ConfigError(f"{path}:{line_no}: repeated key {key!r} "
+                                  f"(first on line {first_line[key]})")
+            pairs[key] = value.strip()
+            first_line[key] = line_no
     return pairs
 
 

@@ -14,9 +14,6 @@ from .corpus import EmailRecord
 from .lexicon import SCALE_INDEX, SCALES, CompiledMatcher, MoodScale
 from .textproc import porter_stem, tokenize
 
-# ints, so zero-match rows print as 0 in scores.csv
-_ZERO_COMPONENTS = (0,) * len(SCALES)
-
 
 def match_counts(stems: Sequence[str], matcher: CompiledMatcher) -> list[int]:
     """Count lexicon matches per main term (indexed like matcher.main_terms).
@@ -67,16 +64,14 @@ def score_record(rec: EmailRecord, matcher: CompiledMatcher) -> ScoredRecord:
     """Match the body, sum main-term counts per scale (the scoring key) and
     scale the result to unit Euclidean length."""
     counts = match_counts([porter_stem(t) for t in tokenize(rec.body)], matcher)
-    total = sum(counts)
-    if total == 0:
-        return ScoredRecord(rec.id, rec.delivery_year, _ZERO_COMPONENTS, 0)
     components = [0.0] * len(SCALES)
     for main_idx, c in enumerate(counts):
         if c:
             components[matcher.scale_index[main_idx]] += c
-    norm = math.sqrt(sum(c * c for c in components))
+    # a zero-match row has norm 0; dividing by 1.0 keeps it all 0.0
+    norm = math.sqrt(sum(c * c for c in components)) or 1.0
     return ScoredRecord(rec.id, rec.delivery_year,
-                        tuple(c / norm for c in components), total)
+                        tuple(c / norm for c in components), sum(counts))
 
 
 @dataclass

@@ -4,7 +4,7 @@ with * (marginal) or ** (significant)."""
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 from .stats import FLAG_MARGINAL, FLAG_SIGNIFICANT, SignificanceMatrix, TrendSeries
 
@@ -15,17 +15,18 @@ MARGIN_RIGHT = 24
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 48
 CURVE_SAMPLES = 120
+_MARKS = {FLAG_SIGNIFICANT: "**", FLAG_MARGINAL: "*"}
 
 
 def _scale(value: float, lo: float, hi: float, out_lo: float, out_hi: float) -> float:
-    if hi == lo:
-        return (out_lo + out_hi) / 2.0
     return out_lo + (value - lo) * (out_hi - out_lo) / (hi - lo)
 
 
 def render_trend_svg(trend: TrendSeries,
                      matrix: SignificanceMatrix | None = None) -> str:
-    """Render one dimension's trend chart as an SVG document string."""
+    """Render one dimension's trend chart as an SVG document string. The
+    trend is one build_trend gives: at least three years, and z-scores that
+    are all 0 or straddle 0."""
     years = trend.years
     k = len(years)
     center = (k - 1) / 2.0
@@ -48,7 +49,7 @@ def render_trend_svg(trend: TrendSeries,
     y_top, y_bottom = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
 
     def px(xi: float) -> float:
-        return _scale(xi, -center, center if k > 1 else 1.0, x_left, x_right)
+        return _scale(xi, -center, center, x_left, x_right)
 
     def py(z: float) -> float:
         return _scale(z, y_lo, y_hi, y_bottom, y_top)
@@ -59,18 +60,17 @@ def render_trend_svg(trend: TrendSeries,
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<text x="{WIDTH // 2}" y="22" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="15">{escape(trend.dimension.value)} trend (z-scored yearly means)</text>',
+        f'font-size="15">{trend.dimension.value} trend (z-scored yearly means)</text>',
     ]
 
-    # axes: x baseline, y axis, zero line when visible
+    # axes: x baseline, y axis, zero line
     parts.append(f'<line x1="{x_left}" y1="{y_bottom}" x2="{x_right}" y2="{y_bottom}" '
                  'stroke="#444444" stroke-width="1"/>')
     parts.append(f'<line x1="{x_left}" y1="{y_top}" x2="{x_left}" y2="{y_bottom}" '
                  'stroke="#444444" stroke-width="1"/>')
-    if y_lo < 0.0 < y_hi:
-        zy = py(0.0)
-        parts.append(f'<line x1="{x_left}" y1="{zy:.2f}" x2="{x_right}" y2="{zy:.2f}" '
-                     'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4,4"/>')
+    zy = py(0.0)
+    parts.append(f'<line x1="{x_left}" y1="{zy:.2f}" x2="{x_right}" y2="{zy:.2f}" '
+                 'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4,4"/>')
 
     tick_step = max(1, k // 8)
     for i, year in enumerate(years):
@@ -82,8 +82,6 @@ def render_trend_svg(trend: TrendSeries,
         parts.append(f'<text x="{x:.2f}" y="{y_bottom + 20}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="11">{year}</text>')
     for z in (y_lo + pad, 0.0, y_hi - pad):
-        if not y_lo <= z <= y_hi:
-            continue
         parts.append(f'<text x="{x_left - 8}" y="{py(z):.2f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="11">{z:.2f}</text>')
 
@@ -95,12 +93,8 @@ def render_trend_svg(trend: TrendSeries,
                      'fill="#c03a2b"/>')
 
     if matrix is not None:
-        labels = []
-        for (ya, yb), flag in matrix.flags.items():
-            if flag == FLAG_SIGNIFICANT:
-                labels.append(f"{ya}–{yb} **")
-            elif flag == FLAG_MARGINAL:
-                labels.append(f"{ya}–{yb} *")
+        labels = [f"{ya}–{yb} {_MARKS[flag]}"
+                  for (ya, yb), flag in matrix.flags.items() if flag in _MARKS]
         if labels:
             shown = labels[:6]
             if len(labels) > len(shown):
@@ -109,7 +103,7 @@ def render_trend_svg(trend: TrendSeries,
         else:
             text = "flagged pairs: none"
         parts.append(f'<text x="{x_left}" y="{HEIGHT - 12}" font-family="sans-serif" '
-                     f'font-size="11" fill="#333333">{escape(text)}</text>')
+                     f'font-size="11" fill="#333333">{escape(text, quote=False)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts)

@@ -28,6 +28,8 @@ class TrendSpec:
     noise_sd: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.noise_sd):
+            raise ValueError(f"noise_sd must be finite, got {self.noise_sd}")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be >= 0")
 

@@ -404,7 +404,8 @@ class TestStemCommand:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m_invocation(self, tmp_path):
+    @staticmethod
+    def _python(*args):
         import os
         import subprocess
         import sys
@@ -414,11 +415,18 @@ class TestModuleEntryPoint:
         package_root = str(Path(moodtrends.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "moodtrends", "stem", "worrying"],
-            capture_output=True, text=True, env=env)
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env)
+
+    def test_python_dash_m_invocation(self):
+        proc = self._python("-m", "moodtrends", "stem", "worrying")
         assert proc.returncode == EXIT_OK
         assert "worrying\tworri" in proc.stdout
+
+    def test_cli_import_skips_xml_stack(self):
+        proc = self._python("-c", "import sys, moodtrends.cli; print(sorted("
+                            "m for m in sys.modules if m.startswith('xml.sax')))")
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 class TestSvgRendering:
@@ -436,6 +444,33 @@ class TestSvgRendering:
         doc = render_trend_svg(trend)
         root = ET.fromstring(doc)
         assert root.tag.endswith("svg")
+
+    @staticmethod
+    def _texts(n_years, flags=None):
+        from moodtrends.lexicon import MoodScale
+        from moodtrends.scoring import YearBucket
+        from moodtrends.stats import SignificanceMatrix, build_trend
+        from moodtrends.svg import render_trend_svg
+        buckets = {2000 + i: YearBucket(2000 + i, [[0.1 + (i * i % 7) / 10, 0, 0, 0, 0, 0]])
+                   for i in range(n_years)}
+        matrix = SignificanceMatrix(MoodScale.TENSION, flags=flags or {})
+        doc = render_trend_svg(build_trend(buckets, MoodScale.TENSION), matrix)
+        return [t.text for t in ET.fromstring(doc).iter("{http://www.w3.org/2000/svg}text")]
+
+    @pytest.mark.parametrize("n_years,labelled", [
+        (8, list(range(2000, 2008))),
+        (17, list(range(2000, 2017, 2))),
+        (18, [*range(2000, 2017, 2), 2017]),
+    ], ids=["8-every-year", "17-every-other", "18-every-other-and-last"])
+    def test_year_tick_labels(self, n_years, labelled):
+        assert [int(t) for t in self._texts(n_years) if t.isdigit()] == labelled
+
+    def test_flagged_pair_marks(self):
+        from moodtrends.stats import FLAG_MARGINAL, FLAG_NONE, FLAG_SIGNIFICANT
+        flags = {(2000, 2001): FLAG_MARGINAL, (2000, 2002): FLAG_NONE,
+                 (2001, 2002): FLAG_SIGNIFICANT}
+        assert self._texts(3, flags)[-1] == "flagged pairs: 2000–2001 *  2001–2002 **"
+        assert self._texts(3)[-1] == "flagged pairs: none"
 
 
 def bad_input(tmp_path, kind):
@@ -727,15 +762,25 @@ def test_lexicon_rule_error_line(tmp_path, capsys, line, message):
     ("constant(3)", "linear(1, 2, 3)", "unknown profile 'linear(1, 2, 3)'"),
     ("seed = 1", "noise_sd = -0.5", "noise_sd must be >= 0"),
     ("seed = 1", "noise_sd.vigor = -1", "noise_sd must be >= 0"),
+    ("seed = 1", "noise_sd = inf", "noise_sd must be finite, got inf"),
+    ("seed = 1", "noise_sd = nan", "noise_sd must be finite, got nan"),
+    ("seed = 1", "noise_sd.vigor = -inf", "noise_sd must be finite, got -inf"),
+    ("seed = 1", "noise_sd.vigor = nan", "noise_sd must be finite, got nan"),
+    ("seed = 1", "trend.vigor = constant(9)",
+     "{path}:4: repeated key 'trend.vigor' (first on line 3)"),
+    ("seed = 1", "years = 2007-2010", "{path}:3: repeated key 'years' (first on line 1)"),
+    ("emails_per_year = 2", "emails_per_year = 0", "emails_per_year must be >= 1"),
 ], ids=["unknown-key", "unknown-scale", "missing-years", "bad-years", "empty-range",
         "no-trend", "bad-expression", "bad-arguments", "unknown-profile",
-        "step-arity", "linear-arity", "negative-noise", "negative-scale-noise"])
+        "step-arity", "linear-arity", "negative-noise", "negative-scale-noise",
+        "infinite-noise", "nan-noise", "infinite-scale-noise", "nan-scale-noise",
+        "repeated-trend", "repeated-years", "no-emails"])
 def test_synth_spec_rule_error_line(tmp_path, capsys, old, new, message):
     spec = tmp_path / "bad.spec"
     spec.write_text(SYNTH_BASE.replace(old, new))
     rc, err = _error_of(["synth", "--spec", str(spec), "--out", str(tmp_path / "x.tsv")],
                         capsys)
-    assert (rc, err) == (EXIT_DATA, f"error: bad synth spec: {message}\n")
+    assert (rc, err) == (EXIT_DATA, f"error: bad synth spec: {message.format(path=spec)}\n")
 
 
 @pytest.mark.parametrize("line,message", [
@@ -744,12 +789,50 @@ def test_synth_spec_rule_error_line(tmp_path, capsys, old, new, message):
     ("top_n = ten", "bad value for top_n: 'ten'"),
     ("year_min = soon", "bad value for year_min: 'soon'"),
     ("english_threshold = high", "bad value for english_threshold: 'high'"),
-], ids=["unknown-key", "bool", "int", "optional-int", "float"])
+    ("year_min = 2010", "year_min and year_max must be set together"),
+    ("year_min = 2012\nyear_max = 2010", "year_min 2012 > year_max 2010"),
+    ("english_threshold = 1.5", "english_threshold must be in [0, 1], got 1.5"),
+    ("english_threshold = -0.1", "english_threshold must be in [0, 1], got -0.1"),
+    ("top_n = -1", "top_n must be >= 0"),
+    ("# wibble = 3\n\n   # top_n = 5\ntop_n = -1", "top_n must be >= 0"),
+    ("top_n 5", "{path}:2: expected 'key = value', got 'top_n 5'"),
+    ("corpus_path = y", "{path}:2: repeated key 'corpus_path' (first on line 1)"),
+    ("output_dir = a\n# output_dir = b\noutput_dir = c",
+     "{path}:4: repeated key 'output_dir' (first on line 2)"),
+    ("output_dir = o\0x", "output_dir contains a NUL byte"),
+    ("lexicon_path = \0", "lexicon_path contains a NUL byte"),
+], ids=["unknown-key", "bool", "int", "optional-int", "float",
+        "year-min-alone", "year-range-reversed", "threshold-above-1", "threshold-below-0",
+        "negative-top-n", "comment-lines", "no-equals", "repeated-key",
+        "repeated-key-after-comment", "nul-output-dir", "nul-lexicon-path"])
 def test_config_rule_error_line(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.conf"
     cfg.write_text(f"corpus_path = x\n{line}\n")
     rc, err = _error_of(["stats", "--config", str(cfg)], capsys)
-    assert (rc, err) == (EXIT_USAGE, f"error: {message}\n")
+    assert (rc, err) == (EXIT_USAGE, f"error: {message.format(path=cfg)}\n")
+
+
+def test_nul_in_corpus_path_rejected():
+    # the config table's base line sets corpus_path, so this key is checked here
+    from moodtrends.config import ConfigError, PipelineConfig
+    with pytest.raises(ConfigError, match="^corpus_path contains a NUL byte$"):
+        PipelineConfig(corpus_path="a\0b").validate()
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["score", "--corpus", "{corpus}"], EXIT_USAGE,
+     "no lexicon path given (flag --lexicon or config lexicon_path)"),
+    (["analyze", "--scores", "{scores}"], EXIT_DATA,
+     "unexpected scores.csv header: 'id,delivery_year,match_count'"),
+], ids=["score-without-lexicon", "scores-header"])
+def test_cli_rule_error_line(tmp_path, capsys, argv, code, message):
+    corpus, scores = tmp_path / "empty.tsv", tmp_path / "scores.csv"
+    corpus.write_text("")
+    scores.write_text("id,delivery_year,match_count\nx,2010,0\n")
+    argv = [a.format(corpus=corpus, scores=scores) for a in argv]
+    rc, err = _error_of([*argv, "--output-dir", str(tmp_path / "o")], capsys)
+    assert (rc, err) == (code, f"error: {message}\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("word,value", [
