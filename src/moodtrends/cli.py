@@ -19,7 +19,7 @@ from typing import Iterable
 from . import corpus as corpus_mod
 from . import scoring, stats, svg, synth
 from .config import (KEY_TYPES, ConfigError, PipelineConfig, apply_overrides,
-                     load_config, parse_kv_file)
+                     parse_kv_file)
 from .corpus import parse_corpus_file
 from .lexicon import (SCALES, LexiconError, compile_lexicon, load_default_lexicon,
                       load_lexicon_file)
@@ -90,11 +90,10 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
+    cfg = PipelineConfig()
     if args.config:
         with _reading("config", args.config, ConfigError):
-            cfg = load_config(args.config)
-    else:
-        cfg = PipelineConfig()
+            apply_overrides(cfg, parse_kv_file(args.config))
     apply_overrides(cfg, {k: v for k, v in vars(args).items() if k in KEY_TYPES})
     cfg.validate()
     return cfg
@@ -117,7 +116,7 @@ def _load_matcher(cfg: PipelineConfig):
         raise UsageError("no lexicon path given (flag --lexicon or config lexicon_path)")
     matcher = compile_lexicon(_load_lexicon(cfg.lexicon_path))
     for w in matcher.warnings:
-        print(f"lexicon-warning\t{w.code}\t{w.term}\t{w.colliding_term}\t"
+        print(f"lexicon-warning\tstem-collision\t{w.term}\t{w.colliding_term}\t"
               f"{' '.join(w.sequence)}", file=sys.stderr)
     return matcher
 

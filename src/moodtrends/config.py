@@ -100,12 +100,6 @@ KEY_TYPES: dict[str, type] = {f.name: _value_type(_HINTS[f.name])
                               for f in fields(PipelineConfig)}
 
 
-def load_config(path: str | Path) -> PipelineConfig:
-    cfg = PipelineConfig()
-    apply_overrides(cfg, parse_kv_file(path))
-    return cfg
-
-
 def apply_overrides(cfg: PipelineConfig, pairs: dict[str, str | None]) -> PipelineConfig:
     for key, value in pairs.items():
         if value is None:

@@ -20,7 +20,8 @@ jsonl (one JSON object per line)::
 In both formats a record id is non-empty, holds no tab or line break and
 encodes as UTF-8 (no lone surrogate), so it fits on one line of every output
 file. A rejection report carries the line's id only when it keeps that rule,
-and an empty id otherwise. Lines end at LF or CRLF.
+and an empty id otherwise. Lines end at LF or CRLF, and a leading UTF-8
+byte-order mark is skipped.
 
 Malformed lines never abort a parse; each produces a rejection report with
 its line number and a stable reason code.
@@ -176,7 +177,8 @@ def parse_corpus(data: bytes | BinaryIO,
 
     fmt is "tsv" (delimited records) or "jsonl" (one JSON object per line).
     Lines end at ``\\n``; one ``\\r`` before it is dropped, so CRLF files
-    parse like LF files. The stream is read one line at a time. Undecodable
+    parse like LF files, and one UTF-8 byte-order mark is dropped from the
+    start of line 1. The stream is read one line at a time. Undecodable
     lines are rejected with the unknown-character-encoding code; the parse
     itself never raises on malformed content.
     """
@@ -192,6 +194,8 @@ def parse_corpus(data: bytes | BinaryIO,
         if not raw_line.strip():
             continue
         raw_line = raw_line.removesuffix(b"\n").removesuffix(b"\r")
+        if line_no == 1:
+            raw_line = raw_line.removeprefix(b"\xef\xbb\xbf")
         try:
             records.append(_parse_line(raw_line, fmt))
         except _Rejected as rej:
@@ -247,16 +251,14 @@ def filter_english(records: Iterable[EmailRecord],
     return FilterResult(kept=kept, rejected=rejected, flagged_short=flagged)
 
 
-def word_frequency(records: Iterable[EmailRecord], top_n: int,
-                   stopwords: frozenset[str] | None = None) -> list[tuple[str, int]]:
+def word_frequency(records: Iterable[EmailRecord], top_n: int) -> list[tuple[str, int]]:
     """Top-N non-stopword surface tokens by raw occurrence count.
 
     Ties break toward ascending lexicographic order.
     """
     if top_n <= 0:
         return []
-    if stopwords is None:
-        stopwords = frozenset(load_word_list("stopwords"))
+    stopwords = frozenset(load_word_list("stopwords"))
     counts: Counter[str] = Counter()
     for rec in records:
         for tok in tokenize(rec.body):

@@ -62,7 +62,6 @@ class MoodLexicon:
 class CompileWarning:
     """A stem-sequence collision resolved at compile time."""
 
-    code: str
     term: str
     colliding_term: str
     sequence: tuple[str, ...]
@@ -106,15 +105,13 @@ def _parse_entry_line(line: str, line_no: int) -> LexiconEntry:
     return LexiconEntry(main_term=main_term, scale=scale, extended=tuple(extended))
 
 
-def load_lexicon(source: IO[str] | Iterable[str] | str) -> MoodLexicon:
-    """Parse and validate a lexicon from a text stream, lines, or one string.
+def load_lexicon(source: IO[str] | Iterable[str]) -> MoodLexicon:
+    """Parse and validate a lexicon from a text stream or its lines.
 
     Raises LexiconError naming the offending term/line on duplicate main
     terms, unknown scale labels, malformed phrases, or a scale with no
     entries.
     """
-    if isinstance(source, str):
-        source = source.splitlines()
     entries: list[LexiconEntry] = []
     seen: dict[str, int] = {}
     version = "unversioned"
@@ -190,8 +187,7 @@ def compile_lexicon(lex: MoodLexicon) -> CompiledMatcher:
             table, key = (singles, seq[0]) if len(seq) == 1 else (phrases, seq)
             first = table.setdefault(key, owner)
             if first != owner:
-                warnings.append(CompileWarning(code="stem-collision",
-                                               term=entry.main_term,
+                warnings.append(CompileWarning(term=entry.main_term,
                                                colliding_term=main_terms[first],
                                                sequence=seq))
     return CompiledMatcher(

@@ -79,7 +79,6 @@ class YearBucket:
     """The unit vectors of one delivery year as a C-order (n, 6) float64
     array, plus the number of that year's documents with no lexicon hit."""
 
-    year: int
     vectors: np.ndarray = ()
     zero_match_count: int = 0
 
@@ -120,7 +119,7 @@ def bucket_scores(rows: Iterable[ScoredRecord],
             zeros[year] = zeros.get(year, 0) + 1
         else:
             year_vectors.append(row.components)
-    return {year: YearBucket(year, vecs, zeros.get(year, 0))
+    return {year: YearBucket(vecs, zeros.get(year, 0))
             for year, vecs in vectors.items()}
 
 

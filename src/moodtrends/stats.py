@@ -94,10 +94,8 @@ class SignificanceMatrix:
     year_a < year_b, in ascending order.
     """
 
-    dimension: MoodScale
     cells: dict[tuple[int, int], KsResult] = field(default_factory=dict)
     flags: dict[tuple[int, int], str] = field(default_factory=dict)
-    skipped_years: list[int] = field(default_factory=list)
 
     def pairs(self) -> list[tuple[int, int]]:
         return list(self.cells)
@@ -108,18 +106,12 @@ def pairwise_ks(buckets: dict[int, YearBucket], dimension: MoodScale,
                 alpha_marginal: float = ALPHA_MARGINAL) -> SignificanceMatrix:
     """Run the KS test on the per-document components of one dimension for
     every unordered pair of years with non-empty buckets. Years whose bucket
-    holds no vectors are skipped and recorded."""
-    samples: dict[int, np.ndarray] = {}
-    skipped: list[int] = []
-    for y in sorted(buckets):
-        comps = buckets[y].components(dimension)
-        if len(comps):
-            samples[y] = np.sort(comps)
-        else:
-            skipped.append(y)
+    holds no vectors are skipped."""
+    samples = {y: np.sort(buckets[y].components(dimension))
+               for y in sorted(buckets) if len(buckets[y].vectors)}
     if len(samples) < 2:
         raise ValueError("need at least two non-empty year buckets")
-    matrix = SignificanceMatrix(dimension=dimension, skipped_years=skipped)
+    matrix = SignificanceMatrix()
     # samples is in ascending year order, so pairs come out (a < b) ascending
     for ya, yb in itertools.combinations(samples, 2):
         result = _ks_sorted(samples[ya], samples[yb])

@@ -22,8 +22,7 @@ def _scale(value: float, lo: float, hi: float, out_lo: float, out_hi: float) -> 
     return out_lo + (value - lo) * (out_hi - out_lo) / (hi - lo)
 
 
-def render_trend_svg(trend: TrendSeries,
-                     matrix: SignificanceMatrix | None = None) -> str:
+def render_trend_svg(trend: TrendSeries, matrix: SignificanceMatrix) -> str:
     """Render one dimension's trend chart as an SVG document string. The
     trend is one build_trend gives: at least three years, and z-scores that
     are all 0 or straddle 0."""
@@ -92,18 +91,17 @@ def render_trend_svg(trend: TrendSeries,
         parts.append(f'<circle cx="{px(i - center):.2f}" cy="{py(z):.2f}" r="3.5" '
                      'fill="#c03a2b"/>')
 
-    if matrix is not None:
-        labels = [f"{ya}–{yb} {_MARKS[flag]}"
-                  for (ya, yb), flag in matrix.flags.items() if flag in _MARKS]
-        if labels:
-            shown = labels[:6]
-            if len(labels) > len(shown):
-                shown.append(f"(+{len(labels) - len(shown)} more)")
-            text = "flagged pairs: " + "  ".join(shown)
-        else:
-            text = "flagged pairs: none"
-        parts.append(f'<text x="{x_left}" y="{HEIGHT - 12}" font-family="sans-serif" '
-                     f'font-size="11" fill="#333333">{escape(text, quote=False)}</text>')
+    labels = [f"{ya}–{yb} {_MARKS[flag]}"
+              for (ya, yb), flag in matrix.flags.items() if flag in _MARKS]
+    if labels:
+        shown = labels[:6]
+        if len(labels) > len(shown):
+            shown.append(f"(+{len(labels) - len(shown)} more)")
+        text = "flagged pairs: " + "  ".join(shown)
+    else:
+        text = "flagged pairs: none"
+    parts.append(f'<text x="{x_left}" y="{HEIGHT - 12}" font-family="sans-serif" '
+                 f'font-size="11" fill="#333333">{escape(text, quote=False)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts)

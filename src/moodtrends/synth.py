@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .corpus import EmailRecord, load_word_list
-from .lexicon import CompiledMatcher, MoodLexicon, MoodScale, compile_lexicon
+from .lexicon import MoodLexicon, MoodScale
 from .textproc import porter_stem, tokenize
 
 
@@ -27,11 +27,13 @@ class TrendSpec:
     profile: Callable[[int], float]
     noise_sd: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.noise_sd):
-            raise ValueError(f"noise_sd must be finite, got {self.noise_sd}")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be >= 0")
+
+def _check_noise_sd(noise_sd: float) -> float:
+    if not math.isfinite(noise_sd):
+        raise ValueError(f"noise_sd must be finite, got {noise_sd}")
+    if noise_sd < 0:
+        raise ValueError("noise_sd must be >= 0")
+    return noise_sd
 
 
 # profile name -> (accepted argument counts, intensity at year index i)
@@ -48,7 +50,7 @@ def make_trend_spec(dimension: MoodScale, profile_expr: str,
     """Build a TrendSpec from a profile expression such as ``step(1, 6, 5)``,
     ``constant(3)``, ``linear(0.5)`` or ``quadratic(1, 0.2, -0.01)``."""
     return TrendSpec(dimension=dimension, profile=parse_profile(profile_expr),
-                     noise_sd=noise_sd)
+                     noise_sd=_check_noise_sd(noise_sd))
 
 
 def _spec_scale(key: str) -> MoodScale:
@@ -62,15 +64,15 @@ def _spec_scale(key: str) -> MoodScale:
 def parse_synth_spec(pairs: dict[str, str]) -> dict:
     """generate_corpus keyword arguments, all but the lexicon, from the
     ``key = value`` pairs of a synth spec file. Raises ValueError on an
-    unknown key or scale, a bad value, or a spec without a years line or
-    without trend lines."""
+    unknown key or scale, a bad value, a spec without a years line or
+    without trend lines, or a noise_sd.<scale> line for an unplanted scale."""
     known = {"years", "emails_per_year", "origin_year", "seed", "noise_sd"}
-    trend_specs: list[tuple[MoodScale, str]] = []
+    trend_specs: dict[MoodScale, str] = {}
     noise_by_scale: dict[MoodScale, float] = {}
     plain: dict[str, str] = {}
     for key, value in pairs.items():
         if key.startswith("trend."):
-            trend_specs.append((_spec_scale(key), value))
+            trend_specs[_spec_scale(key)] = value
         elif key.startswith("noise_sd."):
             noise_by_scale[_spec_scale(key)] = float(value)
         elif key in known:
@@ -88,11 +90,14 @@ def parse_synth_spec(pairs: dict[str, str]) -> dict:
         raise ValueError(f"empty year range {plain['years']!r}")
     if not trend_specs:
         raise ValueError("synth spec defines no trend.<scale> lines")
-    default_noise = float(plain.get("noise_sd", "0"))
+    for scale in noise_by_scale:
+        if scale not in trend_specs:
+            raise ValueError(f"noise_sd.{scale} has no trend.{scale} line")
+    default_noise = _check_noise_sd(float(plain.get("noise_sd", "0")))
     return {
         "specs": [make_trend_spec(scale, expr,
                                   noise_sd=noise_by_scale.get(scale, default_noise))
-                  for scale, expr in trend_specs],
+                  for scale, expr in trend_specs.items()],
         "years": range(year_lo, year_hi + 1),
         "emails_per_year": int(plain.get("emails_per_year", "10")),
         "origin_year": int(plain["origin_year"]) if "origin_year" in plain else None,
@@ -137,12 +142,9 @@ def _scale_terms(lexicon: MoodLexicon) -> dict[MoodScale, list[str]]:
     return by_scale
 
 
-def _safe_fillers(matcher: CompiledMatcher, fillers: Sequence[str]) -> list[str]:
-    # a filler is safe when its stem occurs nowhere in any stored sequence,
-    # so no phrase can span across it and no single ever matches it
-    used = set(matcher.singles)
-    for seq in matcher.phrases:
-        used.update(seq)
+def _safe_fillers(used: set[str], fillers: Sequence[str]) -> list[str]:
+    # a filler is safe when none of its stems is a stem of any lexicon term
+    # or phrase, so no phrase can span across it and no single ever matches it
     safe = [w for w in fillers
             if all(porter_stem(t) not in used for t in tokenize(w))]
     if not safe:
@@ -177,9 +179,10 @@ def generate_corpus(specs: Sequence[TrendSpec], years: Sequence[int],
         if spec.dimension in seen_dims:
             raise ValueError(f"duplicate trend spec for {spec.dimension}")
         seen_dims.add(spec.dimension)
-    matcher = compile_lexicon(lexicon)
-    nouns = _safe_fillers(matcher, load_word_list("filler_words"))
-    function_fillers = _safe_fillers(matcher, _FUNCTION_FILLERS)
+    used = {porter_stem(t) for terms in terms_by_scale.values()
+            for term in terms for t in tokenize(term)}
+    nouns = _safe_fillers(used, load_word_list("filler_words"))
+    function_fillers = _safe_fillers(used, _FUNCTION_FILLERS)
 
     compose = dt.date(origin_year, 1, 1)
     records: list[EmailRecord] = []

@@ -434,14 +434,14 @@ class TestSvgRendering:
         import xml.etree.ElementTree as ET
 
         from moodtrends.lexicon import MoodScale
-        from moodtrends.stats import TrendSeries
+        from moodtrends.stats import SignificanceMatrix, TrendSeries
         from moodtrends.svg import render_trend_svg
         trend = TrendSeries(
             dimension=MoodScale.FATIGUE, years=[2010, 2011, 2012],
             raw_means=[0.5, 0.5, 0.5], z_scores=[0.0, 0.0, 0.0],
             fit_coeffs=(0.0, 0.0, 0.0), fitted=[0.0, 0.0, 0.0],
             degenerate=True)
-        doc = render_trend_svg(trend)
+        doc = render_trend_svg(trend, SignificanceMatrix())
         root = ET.fromstring(doc)
         assert root.tag.endswith("svg")
 
@@ -451,9 +451,9 @@ class TestSvgRendering:
         from moodtrends.scoring import YearBucket
         from moodtrends.stats import SignificanceMatrix, build_trend
         from moodtrends.svg import render_trend_svg
-        buckets = {2000 + i: YearBucket(2000 + i, [[0.1 + (i * i % 7) / 10, 0, 0, 0, 0, 0]])
+        buckets = {2000 + i: YearBucket([[0.1 + (i * i % 7) / 10, 0, 0, 0, 0, 0]])
                    for i in range(n_years)}
-        matrix = SignificanceMatrix(MoodScale.TENSION, flags=flags or {})
+        matrix = SignificanceMatrix(flags=flags or {})
         doc = render_trend_svg(build_trend(buckets, MoodScale.TENSION), matrix)
         return [t.text for t in ET.fromstring(doc).iter("{http://www.w3.org/2000/svg}text")]
 
@@ -770,11 +770,15 @@ def test_lexicon_rule_error_line(tmp_path, capsys, line, message):
      "{path}:4: repeated key 'trend.vigor' (first on line 3)"),
     ("seed = 1", "years = 2007-2010", "{path}:3: repeated key 'years' (first on line 1)"),
     ("emails_per_year = 2", "emails_per_year = 0", "emails_per_year must be >= 1"),
+    ("seed = 1", "noise_sd.anger = 5", "noise_sd.anger has no trend.anger line"),
+    ("seed = 1", "noise_sd.vigor = 0\nnoise_sd = inf", "noise_sd must be finite, got inf"),
+    ("seed = 1", "noise_sd.vigor = 0\nnoise_sd = -1", "noise_sd must be >= 0"),
 ], ids=["unknown-key", "unknown-scale", "missing-years", "bad-years", "empty-range",
         "no-trend", "bad-expression", "bad-arguments", "unknown-profile",
         "step-arity", "linear-arity", "negative-noise", "negative-scale-noise",
         "infinite-noise", "nan-noise", "infinite-scale-noise", "nan-scale-noise",
-        "repeated-trend", "repeated-years", "no-emails"])
+        "repeated-trend", "repeated-years", "no-emails", "orphan-scale-noise",
+        "infinite-noise-all-scales-set", "negative-noise-all-scales-set"])
 def test_synth_spec_rule_error_line(tmp_path, capsys, old, new, message):
     spec = tmp_path / "bad.spec"
     spec.write_text(SYNTH_BASE.replace(old, new))
@@ -839,10 +843,10 @@ def test_cli_rule_error_line(tmp_path, capsys, argv, code, message):
     ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
     ("0", False), ("False", False), ("NO", False), ("off", False)])
 def test_config_bool_words(tmp_path, word, value):
-    from moodtrends.config import load_config
+    from moodtrends.config import PipelineConfig, apply_overrides, parse_kv_file
     cfg = tmp_path / "run.conf"
     cfg.write_text(f"emit_svg = {word}\n")
-    assert load_config(cfg).emit_svg is value
+    assert apply_overrides(PipelineConfig(), parse_kv_file(cfg)).emit_svg is value
 
 
 BOM = "\ufeff"
@@ -873,7 +877,7 @@ def test_lexicon_with_bom_accepted(tmp_path):
     from moodtrends.lexicon import load_lexicon, load_lexicon_file
     lexicon = tmp_path / "lexicon.txt"
     lexicon.write_text(BOM + LEXICON_BASE, encoding="utf-8")
-    assert load_lexicon_file(lexicon) == load_lexicon(LEXICON_BASE)
+    assert load_lexicon_file(lexicon) == load_lexicon(LEXICON_BASE.splitlines())
     corpus = tmp_path / "empty.tsv"
     corpus.write_text("")
     assert main(["score", "--corpus", str(corpus), "--lexicon", str(lexicon),

@@ -4,10 +4,11 @@ import pytest
 
 from ks_oracle import mc_perm_p
 from moodtrends.corpus import filter_english, format_record_line
-from moodtrends.lexicon import MoodScale
-from moodtrends.scoring import score_corpus
+from moodtrends.lexicon import MoodScale, compile_lexicon, load_lexicon
+from moodtrends.scoring import score_corpus, score_record
 from moodtrends.stats import pairwise_ks
 from moodtrends.synth import generate_corpus, make_trend_spec, parse_profile
+from moodtrends.textproc import tokenize
 
 YEARS = range(2007, 2017)
 
@@ -77,6 +78,20 @@ class TestGenerateCorpus:
                                   seed=9)
         result = filter_english(records)
         assert result.rejected == []
+
+    def test_fillers_avoid_every_lexicon_stem(self):
+        # garden and kitchen are filler nouns and with a function filler; a
+        # lexicon term or phrase word with their stem takes them out of use
+        lexicon = load_lexicon([
+            "garden | tension", "gloomy | depression", "with | anger",
+            "lively | vigor", "weary | fatigue | kitchen sink", "puzzled | confusion",
+        ])
+        records = generate_corpus([make_trend_spec(MoodScale.VIGOR, "constant(2)")],
+                                  range(2010, 2013), 20, lexicon, seed=4)
+        matcher = compile_lexicon(lexicon)
+        for rec in records:
+            assert not {"garden", "with", "kitchen"} & set(tokenize(rec.body))
+            assert score_record(rec, matcher).match_count == 2
 
     def test_null_corpus_identical_vectors_and_no_flags(self, default_lexicon, matcher):
         specs = [
