@@ -123,11 +123,12 @@ def _load_matcher(cfg: PipelineConfig):
 
 def _score_chain(cfg: PipelineConfig):
     """parse -> filter -> score; returns the parsed records, the rejections,
-    the language filter result and the scored rows within the year range."""
+    the language filter result and the scored kept records in the year window."""
     records, rejections = _load_records(cfg)
     matcher = _load_matcher(cfg)
     filtered = corpus_mod.filter_english(records, threshold=cfg.english_threshold)
-    rows = scoring.score_records(filtered.kept, matcher, cfg.year_range)
+    rows = [scoring.score_record(rec, matcher) for rec in filtered.kept
+            if cfg.in_range(rec.delivery_year)]
     return records, rejections, filtered, rows
 
 
@@ -180,7 +181,7 @@ SCORES_HEADER = ["id", "delivery_year", *(s.value for s in SCALES), "match_count
 def cmd_score(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     records, rejections, filtered, rows = _score_chain(cfg)
-    buckets = bucket_scores(rows, cfg.year_range)
+    buckets = bucket_scores(rows)
     out_dir = Path(cfg.output_dir)
 
     # str() of a float is its shortest round-trip repr, so analyze --scores
@@ -209,7 +210,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def _read_scores_csv(path) -> list[ScoredRecord]:
-    with _reading("scores", path), open(path, "r", encoding="utf-8", newline="") as fh:
+    with _reading("scores", path), open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -223,28 +224,32 @@ def _read_scores_csv(path) -> list[ScoredRecord]:
 
 
 def _scores_row(row: list[str]) -> ScoredRecord:
-    """One scores.csv row, held to what score can write: components in
-    [0, 1], all zero exactly when match_count is 0."""
+    """One scores.csv row, held to what score can write: plain decimal year
+    (1..9999) and match_count; components in [0, 1], all 0 iff match_count is 0."""
     if len(row) != len(SCORES_HEADER):
         raise ValueError(f"expected {len(SCORES_HEADER)} fields, got {len(row)}")
     components = tuple(float(v) for v in row[2:8])
-    match_count = int(row[8])
+    year, match_count = int(row[1]), int(row[8])
+    if not (str(year) == row[1] and str(match_count) == row[8] and 1 <= year <= 9999):
+        raise ValueError(f"delivery_year {row[1]!r} and match_count {row[8]!r} must be "
+                         "plain decimals, the year in 1..9999")
     if not all(0.0 <= c <= 1.0 for c in components):  # nan fails this too
         raise ValueError(f"components not all in [0, 1]: {','.join(row[2:8])}")
     if match_count < 0:
         raise ValueError(f"negative match_count {match_count}")
     if (match_count > 0) != any(components):
         raise ValueError(f"match_count {match_count} disagrees with the components")
-    return ScoredRecord(row[0], int(row[1]), components, match_count)
+    return ScoredRecord(row[0], year, components, match_count)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     if args.scores:
-        rows = _read_scores_csv(args.scores)
+        rows = [row for row in _read_scores_csv(args.scores)
+                if cfg.in_range(row.delivery_year)]
     else:
         *_, rows = _score_chain(cfg)
-    buckets = bucket_scores(rows, cfg.year_range)
+    buckets = bucket_scores(rows)
     non_empty = [y for y, b in buckets.items() if len(b.vectors)]
     if len(non_empty) < 2:
         raise DataError(f"need at least two non-empty year buckets, got {len(non_empty)}")

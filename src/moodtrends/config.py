@@ -48,11 +48,10 @@ class PipelineConfig:
             if "\0" in (getattr(self, key) or ""):
                 raise ConfigError(f"{key} contains a NUL byte")
 
-    @property
-    def year_range(self) -> tuple[int, int] | None:
-        if self.year_min is None:
-            return None
-        return (self.year_min, self.year_max)
+    def in_range(self, year: int) -> bool:
+        """Whether a delivery year is inside the run's year window (inclusive;
+        every year when no window is set)."""
+        return self.year_min is None or self.year_min <= year <= self.year_max
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,

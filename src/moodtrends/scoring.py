@@ -97,23 +97,15 @@ class YearBucket:
         return tuple(self.vectors.mean(axis=0).tolist())
 
 
-def _in_range(year: int, year_range: tuple[int, int] | None) -> bool:
-    return year_range is None or year_range[0] <= year <= year_range[1]
-
-
-def bucket_scores(rows: Iterable[ScoredRecord],
-                  year_range: tuple[int, int] | None = None) -> dict[int, YearBucket]:
+def bucket_scores(rows: Iterable[ScoredRecord]) -> dict[int, YearBucket]:
     """Group scored rows by delivery year.
 
-    Zero-match rows are counted per bucket but contribute no vector. Rows
-    outside year_range (inclusive), when given, are skipped.
+    Zero-match rows are counted per bucket but contribute no vector.
     """
     vectors: dict[int, list[tuple[float, ...]]] = {}
     zeros: dict[int, int] = {}
     for row in rows:
         year = row.delivery_year
-        if not _in_range(year, year_range):
-            continue
         year_vectors = vectors.setdefault(year, [])
         if row.match_count == 0:
             zeros[year] = zeros.get(year, 0) + 1
@@ -123,15 +115,7 @@ def bucket_scores(rows: Iterable[ScoredRecord],
             for year, vecs in vectors.items()}
 
 
-def score_records(records: Iterable[EmailRecord], matcher: CompiledMatcher,
-                  year_range: tuple[int, int] | None = None) -> list[ScoredRecord]:
-    """score_record over every record delivered within year_range
-    (inclusive, when given); records outside it are not scored."""
-    return [score_record(rec, matcher) for rec in records
-            if _in_range(rec.delivery_year, year_range)]
-
-
-def score_corpus(records: Iterable[EmailRecord], matcher: CompiledMatcher,
-                 year_range: tuple[int, int] | None = None) -> dict[int, YearBucket]:
-    """Score every record in year_range into the bucket of its delivery year."""
-    return bucket_scores(score_records(records, matcher, year_range))
+def score_corpus(records: Iterable[EmailRecord],
+                 matcher: CompiledMatcher) -> dict[int, YearBucket]:
+    """Score every record into the bucket of its delivery year."""
+    return bucket_scores(score_record(rec, matcher) for rec in records)

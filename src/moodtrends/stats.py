@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -98,6 +97,7 @@ class SignificanceMatrix:
     flags: dict[tuple[int, int], str] = field(default_factory=dict)
 
     def pairs(self) -> list[tuple[int, int]]:
+        """The tested year pairs in order; perfbench counts them as stats.ks_tests."""
         return list(self.cells)
 
 
@@ -130,6 +130,10 @@ def zscore_series(values: Sequence[float]) -> tuple[list[float], bool]:
     k = len(values)
     if k < 2:
         raise ValueError("need at least two values to z-score")
+    # z-scores are scale-free; an exact power of two brings the largest |v|
+    # into [0.5, 1), so the squared deviations neither overflow nor underflow
+    shift = math.frexp(max(abs(v) for v in values))[1]
+    values = [math.ldexp(v, -shift) for v in values]
     mean = sum(values) / k
     deviations = [v - mean for v in values]
     # second centering pass keeps the residual sum at the scale of the
@@ -138,11 +142,6 @@ def zscore_series(values: Sequence[float]) -> tuple[list[float], bool]:
     correction = sum(deviations) / k
     deviations = [d - correction for d in deviations]
     var = sum(d * d for d in deviations) / (k - 1)
-    if var < sys.float_info.min and any(deviations):
-        # the squared deviations underflow; z-scores are scale-free, so redo
-        # the sums on the values scaled by an exact power of two
-        shift = math.frexp(max(abs(v) for v in values))[1]
-        return zscore_series([math.ldexp(v, -shift) for v in values])
     if var == 0.0:
         return [0.0] * k, True
     std = math.sqrt(var)

@@ -171,6 +171,25 @@ class TestScoreCommand:
         assert buckets["2010"]["count"] == 0
         assert buckets["2010"]["zero_match_count"] == 3
 
+    def test_year_window_limits_scored_rows(self, tmp_path, step_corpus, capsys):
+        whole, window = tmp_path / "whole", tmp_path / "window"
+        assert main(["score", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
+                     "--output-dir", str(whole)]) == EXIT_OK
+        capsys.readouterr()
+        # the window's ends are corpus years (2007-2016), so both are included
+        assert main(["score", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
+                     "--year-min", "2009", "--year-max", "2012",
+                     "--output-dir", str(window)]) == EXIT_OK
+        out = capsys.readouterr().out
+        expected = [r for r in read_csv(whole / "scores.csv")
+                    if 2009 <= int(r["delivery_year"]) <= 2012]
+        rows = read_csv(window / "scores.csv")
+        assert rows == expected
+        assert {int(r["delivery_year"]) for r in rows} == {2009, 2010, 2011, 2012}
+        assert f"scored: {len(rows)}  " in out
+        assert sorted(json.loads((window / "buckets.json").read_text())) == \
+            ["2009", "2010", "2011", "2012"]
+
 
 class TestAnalyzeCommand:
     def test_planted_step_flags_in_csv(self, tmp_path, step_corpus):
@@ -285,8 +304,14 @@ class TestAnalyzeCommand:
         "x,2010,1.0,0,0,0,0,0,-1",
         "x,2010,1.0,0,0,0,0,0,0",
         "x,2010,0,0,0,0,0,0,3",
+        "x,99999,1.0,0,0,0,0,0,1",
+        "x,0,1.0,0,0,0,0,0,1",
+        "x, 2010,1.0,0,0,0,0,0,1",
+        "x,2_010,1.0,0,0,0,0,0,1",
+        "x,2010,1.0,0,0,0,0,0, 1",
     ], ids=["nan", "inf", "above-1", "below-0", "negative-count",
-            "zero-count-with-hits", "count-without-hits"])
+            "zero-count-with-hits", "count-without-hits", "year-above-9999",
+            "year-0", "year-leading-space", "year-underscore", "count-leading-space"])
     def test_impossible_scores_row_exits_2(self, tmp_path, step_corpus, capsys, row):
         score_out = tmp_path / "score"
         assert main(["score", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
@@ -314,6 +339,23 @@ class TestAnalyzeCommand:
         rows = read_csv(out / "ks_depression.csv")
         years = {int(r["year_a"]) for r in rows} | {int(r["year_b"]) for r in rows}
         assert years == {2009, 2010, 2011, 2012}
+
+    def test_inline_year_window_equals_scores_path(self, tmp_path, step_corpus):
+        score_out = tmp_path / "score"
+        assert main(["score", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
+                     "--output-dir", str(score_out)]) == EXIT_OK
+        window = ["--year-min", "2009", "--year-max", "2012"]
+        from_scores, inline = tmp_path / "an_scores", tmp_path / "an_inline"
+        assert main(["analyze", "--scores", str(score_out / "scores.csv"), *window,
+                     "--output-dir", str(from_scores)]) == EXIT_OK
+        assert main(["analyze", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
+                     *window, "--output-dir", str(inline)]) == EXIT_OK
+        names = sorted(p.name for p in inline.iterdir())
+        assert names == sorted(p.name for p in from_scores.iterdir())
+        for name in names:
+            assert (inline / name).read_bytes() == (from_scores / name).read_bytes(), name
+        rows = read_csv(inline / "trend_depression.csv")
+        assert [r["year"] for r in rows] == ["2009", "2010", "2011", "2012"]
 
     def test_too_few_buckets_exits_nonzero(self, tmp_path):
         records = [make_record("so angry today and very tired", rec_id="only",
@@ -871,6 +913,23 @@ def test_synth_spec_with_bom_accepted(tmp_path):
         assert main(["synth", "--spec", str(path),
                      "--out", str(tmp_path / f"{path.stem}.tsv")]) == EXIT_OK
     assert (tmp_path / "bom.tsv").read_bytes() == (tmp_path / "plain.tsv").read_bytes()
+
+
+def test_scores_csv_with_bom_accepted(tmp_path, step_corpus):
+    score_out = tmp_path / "score"
+    assert main(["score", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
+                 "--output-dir", str(score_out)]) == EXIT_OK
+    plain = score_out / "scores.csv"
+    bom = tmp_path / "bom_scores.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for path in (plain, bom):
+        assert main(["analyze", "--scores", str(path),
+                     "--output-dir", str(tmp_path / f"an_{path.stem}")]) == EXIT_OK
+    names = sorted(p.name for p in (tmp_path / "an_scores").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "an_bom_scores").iterdir())
+    for name in names:
+        assert (tmp_path / "an_scores" / name).read_bytes() == \
+            (tmp_path / "an_bom_scores" / name).read_bytes(), name
 
 
 def test_lexicon_with_bom_accepted(tmp_path):

@@ -209,12 +209,6 @@ class TestScoreCorpus:
         assert sorted(b1.vectors.tolist()) == sorted(b2.vectors.tolist())
         assert b1.zero_match_count == b2.zero_match_count
 
-    def test_year_range_filter(self, matcher):
-        records = [make_record("angry", rec_id="in", delivery="2010-01-01"),
-                   make_record("angry", rec_id="out", delivery="2031-01-01")]
-        buckets = score_corpus(records, matcher, year_range=(2009, 2020))
-        assert set(buckets) == {2010}
-
     def test_score_record_audit_fields(self, matcher):
         rec = make_record("daunted and angry", delivery="2015-02-03")
         scored = score_record(rec, matcher)

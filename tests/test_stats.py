@@ -190,6 +190,8 @@ class TestZscoreSeries:
                     max_size=40))
     @example([0.0, 6.136647509344362e-162])  # squared deviations underflow
     @example([5e-324, 0.0])  # subnormal: scaling only the deviations fails
+    @example([1e300, -1e300])  # squared deviations overflow
+    @example([1e308, -1e308, 0.0])  # near the float maximum
     @settings(max_examples=200)
     def test_output_mean_zero_std_one(self, values):
         zs, degenerate = zscore_series(values)
