@@ -250,7 +250,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         *_, rows = _score_chain(cfg)
     buckets = bucket_scores(rows)
-    non_empty = [y for y, b in buckets.items() if len(b.vectors)]
+    non_empty = [y for y, b in buckets.items() if b.vectors]
     if len(non_empty) < 2:
         raise DataError(f"need at least two non-empty year buckets, got {len(non_empty)}")
 

@@ -8,7 +8,9 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .corpus import DEFAULT_ENGLISH_THRESHOLD
-from .stats import ALPHA_MARGINAL, ALPHA_SIGNIFICANT
+
+ALPHA_SIGNIFICANT = 0.05
+ALPHA_MARGINAL = 0.10
 
 
 class ConfigError(ValueError):

@@ -1,14 +1,14 @@
 """Document scoring: tokens -> stems -> longest-match-first main-term counts
 -> unit-normalized six-vector, and per-delivery-year buckets holding those
-vectors as one (n, 6) array per year."""
+vectors as one tuple of six-float tuples per year."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, itemgetter
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .corpus import EmailRecord
 from .lexicon import SCALE_INDEX, SCALES, CompiledMatcher, MoodScale
@@ -76,25 +76,27 @@ def score_record(rec: EmailRecord, matcher: CompiledMatcher) -> ScoredRecord:
 
 @dataclass
 class YearBucket:
-    """The unit vectors of one delivery year as a C-order (n, 6) float64
-    array, plus the number of that year's documents with no lexicon hit."""
+    """The unit vectors of one delivery year, each a tuple of six floats in
+    scale order, plus the number of its documents with no lexicon hit."""
 
-    vectors: np.ndarray = ()
+    vectors: tuple[tuple[float, ...], ...] = ()
     zero_match_count: int = 0
 
     def __post_init__(self) -> None:
-        self.vectors = np.ascontiguousarray(
-            self.vectors, dtype=np.float64).reshape(-1, len(SCALES))
+        self.vectors = tuple(tuple(map(float, v)) for v in self.vectors)
+        if any(len(v) != len(SCALES) for v in self.vectors):
+            raise ValueError(f"every vector needs {len(SCALES)} components")
 
-    def components(self, scale: MoodScale) -> np.ndarray:
-        return self.vectors[:, SCALE_INDEX[scale]]
+    def components(self, scale: MoodScale) -> tuple[float, ...]:
+        return tuple(map(itemgetter(SCALE_INDEX[scale]), self.vectors))
 
     def mean_vector(self) -> tuple[float, ...] | None:
-        # column means of a C-order array accumulate row by row, the same
-        # sequential sums a Python loop gives, so outputs stay bit-stable
-        if not len(self.vectors):
+        # plain left-to-right sums from 0.0, as numpy's mean(axis=0) takes
+        # them; the builtin sum() is compensated from Python 3.12 on
+        if not self.vectors:
             return None
-        return tuple(self.vectors.mean(axis=0).tolist())
+        n = len(self.vectors)
+        return tuple(reduce(add, col, 0.0) / n for col in zip(*self.vectors))
 
 
 def bucket_scores(rows: Iterable[ScoredRecord]) -> dict[int, YearBucket]:

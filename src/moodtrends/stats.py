@@ -9,13 +9,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
+from .config import ALPHA_MARGINAL, ALPHA_SIGNIFICANT
 from .lexicon import SCALE_INDEX, MoodScale
 from .scoring import YearBucket
-
-ALPHA_SIGNIFICANT = 0.05
-ALPHA_MARGINAL = 0.10
 
 FLAG_NONE = "none"
 FLAG_MARGINAL = "marginal"
@@ -37,14 +33,12 @@ def _kolmogorov_sf(lam: float) -> float:
         return 1.0
     total = 0.0
     sign = 1.0
-    k = 1
-    while True:
+    for k in itertools.count(1):
         term = math.exp(-2.0 * k * k * lam * lam)
         total += sign * term
         if term < 1e-10:
             break
         sign = -sign
-        k += 1
     return min(1.0, max(0.0, 2.0 * total))
 
 
@@ -54,21 +48,24 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
     lambda = (sqrt(ne) + 0.12 + 0.11/sqrt(ne)) * D, ne = n*m/(n+m).
 
     D is computed from integer CDF counts at every pooled sample point (ties
-    included), so it is exact and symmetric in the two samples.
+    included), so it is exact and symmetric in the two samples. NaN is rejected.
     """
+    import numpy as np
     if len(a) < 1 or len(b) < 1:
         raise ValueError("both samples must be non-empty")
-    return _ks_sorted(np.sort(np.asarray(a, dtype=np.float64)),
-                      np.sort(np.asarray(b, dtype=np.float64)))
+    xs, ys = (np.sort(np.asarray(s, dtype=np.float64)) for s in (a, b))
+    if np.isnan(xs[-1]) or np.isnan(ys[-1]):  # sorting puts NaN last
+        raise ValueError("samples must not contain NaN")
+    return _ks_sorted(np, xs, ys)
 
 
-def _ks_sorted(xs: np.ndarray, ys: np.ndarray) -> KsResult:
+def _ks_sorted(np, xs, ys) -> KsResult:
+    """KS result for sorted float64 arrays; np is the caller's one numpy import."""
     n, m = len(xs), len(ys)
     pooled = np.concatenate((xs, ys))
     # i*m - j*n with i, j the counts of each sample <= every pooled point
-    gaps = (np.searchsorted(xs, pooled, side="right") * m
-            - np.searchsorted(ys, pooled, side="right") * n)
-    d = int(np.abs(gaps).max()) / (n * m)
+    gaps = xs.searchsorted(pooled, "right") * m - ys.searchsorted(pooled, "right") * n
+    d = int(abs(gaps).max()) / (n * m)
     if d == 0.0:
         return KsResult(0.0, 1.0, n, m)
     ne = n * m / (n + m)
@@ -107,14 +104,15 @@ def pairwise_ks(buckets: dict[int, YearBucket], dimension: MoodScale,
     """Run the KS test on the per-document components of one dimension for
     every unordered pair of years with non-empty buckets. Years whose bucket
     holds no vectors are skipped."""
-    samples = {y: np.sort(buckets[y].components(dimension))
-               for y in sorted(buckets) if len(buckets[y].vectors)}
+    import numpy as np
+    samples = {y: np.sort(np.array(buckets[y].components(dimension)))
+               for y in sorted(buckets) if buckets[y].vectors}
     if len(samples) < 2:
         raise ValueError("need at least two non-empty year buckets")
     matrix = SignificanceMatrix()
     # samples is in ascending year order, so pairs come out (a < b) ascending
     for ya, yb in itertools.combinations(samples, 2):
-        result = _ks_sorted(samples[ya], samples[yb])
+        result = _ks_sorted(np, samples[ya], samples[yb])
         matrix.cells[(ya, yb)] = result
         matrix.flags[(ya, yb)] = classify_p(result.p_value, alpha_significant,
                                             alpha_marginal)
@@ -156,21 +154,18 @@ def polyfit2(xs: Sequence[float], ys: Sequence[float]) -> tuple[tuple[float, flo
     mapped back, so the returned (c0, c1, c2) are in the caller's basis.
     Returns the coefficients and the fitted values on the original xs.
     """
+    import numpy as np
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
     if len(set(xs)) < 3:
         raise ValueError("need at least three distinct x values")
     x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
     xbar = x.mean()
     u = x - xbar
     design = np.column_stack([np.ones_like(u), u, u * u])
-    (a0, a1, a2), *_ = np.linalg.lstsq(design, y, rcond=None)
-    c2 = a2
-    c1 = a1 - 2.0 * a2 * xbar
-    c0 = a0 - a1 * xbar + a2 * xbar * xbar
-    fitted = (a0 + a1 * u + a2 * u * u).tolist()
-    return (float(c0), float(c1), float(c2)), fitted
+    (a0, a1, a2), *_ = np.linalg.lstsq(design, np.asarray(ys, dtype=float), rcond=None)
+    coeffs = (a0 - a1 * xbar + a2 * xbar * xbar, a1 - 2.0 * a2 * xbar, a2)
+    return tuple(map(float, coeffs)), (a0 + a1 * u + a2 * u * u).tolist()
 
 
 @dataclass
@@ -189,7 +184,7 @@ class TrendSeries:
 
 def build_trend(buckets: dict[int, YearBucket], dimension: MoodScale) -> TrendSeries:
     """Per-year means -> z-scores -> quadratic fit on centered year indices."""
-    years = sorted(y for y, b in buckets.items() if len(b.vectors))
+    years = sorted(y for y, b in buckets.items() if b.vectors)
     if len(years) < 3:
         raise ValueError("need at least three non-empty year buckets")
     col = SCALE_INDEX[dimension]

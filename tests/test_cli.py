@@ -465,6 +465,33 @@ class TestModuleEntryPoint:
         assert proc.returncode == EXIT_OK
         assert "worrying\tworri" in proc.stdout
 
+    # runs the CLI on its arguments, then prints whether numpy got imported
+    _NUMPY_PROBE = ("import sys\nfrom moodtrends.cli import main\n"
+                    "try:\n    rc = main(sys.argv[1:])\n"
+                    "except SystemExit as exc:\n    rc = exc.code\n"
+                    "print('numpy' in sys.modules)\nsys.exit(rc)")
+
+    @pytest.mark.parametrize("command", ["stats", "score", "synth", "stem", "--help",
+                                         "analyze"])
+    def test_numpy_imported_only_by_analyze(self, tmp_path, step_corpus, command):
+        scored = tmp_path / "scored"
+        assert main(["score", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
+                     "--output-dir", str(scored)]) == EXIT_OK
+        argv = {
+            "stats": ["--corpus", str(step_corpus), "--output-dir", str(tmp_path / "o")],
+            "score": ["--corpus", str(step_corpus), "--lexicon", str(LEXICON),
+                      "--output-dir", str(tmp_path / "o")],
+            "synth": ["--spec", str(tmp_path / "step.spec"), "--out", str(tmp_path / "o.tsv")],
+            "stem": ["worrying"],
+            "--help": [],
+            # positive control: the KS tests and trend fits use numpy
+            "analyze": ["--scores", str(scored / "scores.csv"),
+                        "--output-dir", str(tmp_path / "o")],
+        }[command]
+        proc = self._python("-c", self._NUMPY_PROBE, command, *argv)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(command == "analyze")
+
     def test_cli_import_skips_xml_stack(self):
         proc = self._python("-c", "import sys, moodtrends.cli; print(sorted("
                             "m for m in sys.modules if m.startswith('xml.sax')))")

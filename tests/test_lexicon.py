@@ -80,7 +80,7 @@ class TestLoadLexicon:
         entry = next(e for e in lex.entries if e.main_term == "tense")
         assert entry.extended == ()
 
-    def test_whole_string_input_accepted(self):
+    def test_line_list_input_accepted(self):
         assert len(load_lexicon(MINIMAL.splitlines()).entries) == 6
 
 

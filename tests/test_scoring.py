@@ -3,14 +3,15 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record
 from moodtrends.lexicon import SCALES, MoodScale, compile_lexicon, load_lexicon
-from moodtrends.scoring import (ScoredRecord, bucket_scores, match_counts,
-                                score_corpus, score_record)
+from moodtrends.scoring import (ScoredRecord, YearBucket, bucket_scores,
+                                match_counts, score_corpus, score_record)
 from moodtrends.textproc import porter_stem, tokenize
 
 SINGLES_ONLY = """\
@@ -151,7 +152,7 @@ class TestNormalize:
         scored = score_counts((0, 0, 0, 0, 0, 0), singles_matcher)
         assert scored.match_count == 0
         bucket = bucket_scores([scored])[scored.delivery_year]
-        assert bucket.vectors.shape == (0, 6)
+        assert bucket.vectors == ()
         assert bucket.zero_match_count == 1
 
     def test_norm_within_tolerance(self, singles_matcher):
@@ -181,8 +182,10 @@ class TestScoreCorpus:
         buckets = score_corpus(records, matcher)
         assert set(buckets) == {2010}
         bucket = buckets[2010]
-        assert bucket.vectors.shape == (1, 6)
-        assert bucket.vectors.flags.c_contiguous
+        assert len(bucket.vectors) == 1
+        assert isinstance(bucket.vectors, tuple)
+        assert all(isinstance(v, tuple) and len(v) == 6
+                   and all(type(c) is float for c in v) for v in bucket.vectors)
         assert bucket.zero_match_count == 1
         assert norm(bucket.vectors[0]) == pytest.approx(1.0)
 
@@ -206,7 +209,7 @@ class TestScoreCorpus:
         random.Random(5).shuffle(shuffled)
         b1 = score_corpus(records, matcher)[2012]
         b2 = score_corpus(shuffled, matcher)[2012]
-        assert sorted(b1.vectors.tolist()) == sorted(b2.vectors.tolist())
+        assert sorted(b1.vectors) == sorted(b2.vectors)
         assert b1.zero_match_count == b2.zero_match_count
 
     def test_score_record_audit_fields(self, matcher):
@@ -217,3 +220,24 @@ class TestScoreCorpus:
         assert scored.match_count == 2
         assert scored.components[SCALES.index(MoodScale.DEPRESSION)] == pytest.approx(
             1 / math.sqrt(2))
+
+
+class TestYearBucket:
+    @given(st.lists(st.lists(st.floats(-1e300, 1e300), min_size=6, max_size=6),
+                    min_size=1, max_size=40))
+    @example([[-0.0, 0.5, 0.0, 0.0, 0.0, 1.0], [-0.0, 0.25, 0.0, 0.0, 0.0, 1.0]])
+    @settings(max_examples=300, deadline=None)
+    def test_mean_vector_matches_numpy_bit_for_bit(self, rows):
+        expected = np.asarray(rows, dtype=np.float64).mean(axis=0).tolist()
+        got = YearBucket(rows).mean_vector()
+        assert [c.hex() for c in got] == [c.hex() for c in expected]
+
+    @pytest.mark.parametrize("vectors", [
+        [[1, 2, 3], [4, 5, 6]],
+        [list(range(12))],
+        [[0.0] * 7],
+        [[0.0] * 6, [0.0] * 5],
+    ])
+    def test_vector_without_six_components_rejected(self, vectors):
+        with pytest.raises(ValueError):
+            YearBucket(vectors)

@@ -86,6 +86,16 @@ class TestKsTwoSample:
         with pytest.raises(ValueError):
             ks_two_sample([1.0], [])
 
+    @pytest.mark.parametrize("a, b", [([math.nan], [1.0]), ([1.0], [math.nan]),
+                                      ([0.1, math.nan, 0.3], [0.2, 0.4])])
+    def test_nan_rejected(self, a, b):
+        with pytest.raises(ValueError, match="NaN"):
+            ks_two_sample(a, b)
+
+    def test_infinities_are_ordered_values(self):
+        result = ks_two_sample([-math.inf, 0.0], [0.0, math.inf])
+        assert result.d_statistic == 0.5
+
     @given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=25),
            st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]), min_size=1, max_size=25))
     @settings(max_examples=200)
