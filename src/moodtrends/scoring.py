@@ -15,6 +15,11 @@ from .lexicon import SCALE_INDEX, SCALES, CompiledMatcher, MoodScale
 from .textproc import porter_stem, tokenize
 
 
+def plain_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum from 0.0; the builtin sum() is compensated from Python 3.12."""
+    return reduce(add, values, 0.0)
+
+
 def match_counts(stems: Sequence[str], matcher: CompiledMatcher) -> list[int]:
     """Count lexicon matches per main term (indexed like matcher.main_terms).
 
@@ -91,12 +96,10 @@ class YearBucket:
         return tuple(map(itemgetter(SCALE_INDEX[scale]), self.vectors))
 
     def mean_vector(self) -> tuple[float, ...] | None:
-        # plain left-to-right sums from 0.0, as numpy's mean(axis=0) takes
-        # them; the builtin sum() is compensated from Python 3.12 on
         if not self.vectors:
             return None
         n = len(self.vectors)
-        return tuple(reduce(add, col, 0.0) / n for col in zip(*self.vectors))
+        return tuple(plain_sum(col) / n for col in zip(*self.vectors))
 
 
 def bucket_scores(rows: Iterable[ScoredRecord]) -> dict[int, YearBucket]:

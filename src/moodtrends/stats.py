@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .config import ALPHA_MARGINAL, ALPHA_SIGNIFICANT
 from .lexicon import SCALE_INDEX, MoodScale
-from .scoring import YearBucket
+from .scoring import YearBucket, plain_sum
 
 FLAG_NONE = "none"
 FLAG_MARGINAL = "marginal"
@@ -50,22 +51,26 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
     D is computed from integer CDF counts at every pooled sample point (ties
     included), so it is exact and symmetric in the two samples. NaN is rejected.
     """
-    import numpy as np
     if len(a) < 1 or len(b) < 1:
         raise ValueError("both samples must be non-empty")
-    xs, ys = (np.sort(np.asarray(s, dtype=np.float64)) for s in (a, b))
-    if np.isnan(xs[-1]) or np.isnan(ys[-1]):  # sorting puts NaN last
+    if any(map(math.isnan, itertools.chain(a, b))):
         raise ValueError("samples must not contain NaN")
-    return _ks_sorted(np, xs, ys)
+    return _ks_sorted(sorted(map(float, a)), sorted(map(float, b)))
 
 
-def _ks_sorted(np, xs, ys) -> KsResult:
-    """KS result for sorted float64 arrays; np is the caller's one numpy import."""
+def _ks_sorted(xs: list[float], ys: list[float]) -> KsResult:
+    """KS result for two sorted lists of floats."""
     n, m = len(xs), len(ys)
-    pooled = np.concatenate((xs, ys))
-    # i*m - j*n with i, j the counts of each sample <= every pooled point
-    gaps = xs.searchsorted(pooled, "right") * m - ys.searchsorted(pooled, "right") * n
-    d = int(abs(gaps).max()) / (n * m)
+    i = j = d_num = 0
+    # step over the distinct pooled values: i, j count each sample <= v, and
+    # once either sample is used up |i*m - j*n| only falls back to 0
+    while i < n and j < m:
+        v = xs[i] if xs[i] < ys[j] else ys[j]
+        i, j = bisect_right(xs, v, i), bisect_right(ys, v, j)
+        gap = abs(i * m - j * n)
+        if gap > d_num:  # not max(): builtin calls double this loop's time
+            d_num = gap
+    d = d_num / (n * m)
     if d == 0.0:
         return KsResult(0.0, 1.0, n, m)
     ne = n * m / (n + m)
@@ -104,15 +109,14 @@ def pairwise_ks(buckets: dict[int, YearBucket], dimension: MoodScale,
     """Run the KS test on the per-document components of one dimension for
     every unordered pair of years with non-empty buckets. Years whose bucket
     holds no vectors are skipped."""
-    import numpy as np
-    samples = {y: np.sort(np.array(buckets[y].components(dimension)))
+    samples = {y: sorted(buckets[y].components(dimension))
                for y in sorted(buckets) if buckets[y].vectors}
     if len(samples) < 2:
         raise ValueError("need at least two non-empty year buckets")
     matrix = SignificanceMatrix()
     # samples is in ascending year order, so pairs come out (a < b) ascending
     for ya, yb in itertools.combinations(samples, 2):
-        result = _ks_sorted(np, samples[ya], samples[yb])
+        result = _ks_sorted(samples[ya], samples[yb])
         matrix.cells[(ya, yb)] = result
         matrix.flags[(ya, yb)] = classify_p(result.p_value, alpha_significant,
                                             alpha_marginal)
@@ -132,14 +136,14 @@ def zscore_series(values: Sequence[float]) -> tuple[list[float], bool]:
     # into [0.5, 1), so the squared deviations neither overflow nor underflow
     shift = math.frexp(max(abs(v) for v in values))[1]
     values = [math.ldexp(v, -shift) for v in values]
-    mean = sum(values) / k
+    mean = plain_sum(values) / k
     deviations = [v - mean for v in values]
     # second centering pass keeps the residual sum at the scale of the
     # spread rather than the magnitude, so badly conditioned series (tiny
     # spread on a huge offset) still come out with mean 0 to ~1e-15
-    correction = sum(deviations) / k
+    correction = plain_sum(deviations) / k
     deviations = [d - correction for d in deviations]
-    var = sum(d * d for d in deviations) / (k - 1)
+    var = plain_sum(d * d for d in deviations) / (k - 1)
     if var == 0.0:
         return [0.0] * k, True
     std = math.sqrt(var)
@@ -149,23 +153,26 @@ def zscore_series(values: Sequence[float]) -> tuple[list[float], bool]:
 def polyfit2(xs: Sequence[float], ys: Sequence[float]) -> tuple[tuple[float, float, float], list[float]]:
     """Least-squares quadratic fit y ~ c0 + c1*x + c2*x².
 
-    The xs are centered at their mean before solving (orthogonalized
-    least squares on the centered Vandermonde design) and the coefficients
-    mapped back, so the returned (c0, c1, c2) are in the caller's basis.
-    Returns the coefficients and the fitted values on the original xs.
+    The xs are centered, u = x - mean(x), and y is projected on 1, u and
+    q = u² - g*u - s, which are orthogonal on those u (Forsythe 1957), so each
+    coefficient is one ratio of sums. Returns (c0, c1, c2) mapped back to the
+    caller's basis and the fitted values on the original xs.
     """
-    import numpy as np
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
     if len(set(xs)) < 3:
         raise ValueError("need at least three distinct x values")
-    x = np.asarray(xs, dtype=float)
-    xbar = x.mean()
-    u = x - xbar
-    design = np.column_stack([np.ones_like(u), u, u * u])
-    (a0, a1, a2), *_ = np.linalg.lstsq(design, np.asarray(ys, dtype=float), rcond=None)
-    coeffs = (a0 - a1 * xbar + a2 * xbar * xbar, a1 - 2.0 * a2 * xbar, a2)
-    return tuple(map(float, coeffs)), (a0 + a1 * u + a2 * u * u).tolist()
+    k = len(xs)
+    xbar = plain_sum(xs) / k
+    u = [x - xbar for x in xs]
+    uu = plain_sum(v * v for v in u)
+    g, s = plain_sum(v * v * v for v in u) / uu, uu / k
+    q = [v * v - g * v - s for v in u]
+    b0, b1 = plain_sum(ys) / k, plain_sum(v * y for v, y in zip(u, ys)) / uu
+    b2 = plain_sum(w * y for w, y in zip(q, ys)) / plain_sum(w * w for w in q)
+    a0, a1 = b0 - b2 * s, b1 - b2 * g
+    coeffs = (a0 - a1 * xbar + b2 * xbar * xbar, a1 - 2.0 * b2 * xbar, b2)
+    return coeffs, [b0 + b1 * v + b2 * w for v, w in zip(u, q)]
 
 
 @dataclass

@@ -472,25 +472,31 @@ class TestModuleEntryPoint:
                     "print('numpy' in sys.modules)\nsys.exit(rc)")
 
     @pytest.mark.parametrize("command", ["stats", "score", "synth", "stem", "--help",
-                                         "analyze"])
-    def test_numpy_imported_only_by_analyze(self, tmp_path, step_corpus, command):
+                                         "analyze", "analyze-scores"])
+    def test_no_command_imports_numpy(self, tmp_path, step_corpus, command):
         scored = tmp_path / "scored"
         assert main(["score", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
                      "--output-dir", str(scored)]) == EXIT_OK
+        corpus = ["--corpus", str(step_corpus)]
+        out = ["--output-dir", str(tmp_path / "o")]
         argv = {
-            "stats": ["--corpus", str(step_corpus), "--output-dir", str(tmp_path / "o")],
-            "score": ["--corpus", str(step_corpus), "--lexicon", str(LEXICON),
-                      "--output-dir", str(tmp_path / "o")],
-            "synth": ["--spec", str(tmp_path / "step.spec"), "--out", str(tmp_path / "o.tsv")],
-            "stem": ["worrying"],
-            "--help": [],
-            # positive control: the KS tests and trend fits use numpy
-            "analyze": ["--scores", str(scored / "scores.csv"),
-                        "--output-dir", str(tmp_path / "o")],
+            "stats": ["stats", *corpus, *out],
+            "score": ["score", *corpus, "--lexicon", str(LEXICON), *out],
+            "synth": ["synth", "--spec", str(tmp_path / "step.spec"),
+                      "--out", str(tmp_path / "o.tsv")],
+            "stem": ["stem", "worrying"],
+            "--help": ["--help"],
+            "analyze": ["analyze", *corpus, "--lexicon", str(LEXICON), *out],
+            "analyze-scores": ["analyze", "--scores", str(scored / "scores.csv"), *out],
         }[command]
-        proc = self._python("-c", self._NUMPY_PROBE, command, *argv)
+        proc = self._python("-c", self._NUMPY_PROBE, *argv)
         assert proc.returncode == EXIT_OK, proc.stderr
-        assert proc.stdout.splitlines()[-1] == str(command == "analyze")
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_numpy_probe_positive_control(self):
+        proc = self._python("-c", "import numpy\n" + self._NUMPY_PROBE, "stem", "worrying")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True"
 
     def test_cli_import_skips_xml_stack(self):
         proc = self._python("-c", "import sys, moodtrends.cli; print(sorted("

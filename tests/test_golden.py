@@ -3,14 +3,14 @@ and of every ingest-dependent file on one hand-written corpus.
 
 The corpus has planted trends with noise, so year means are not trivially
 exact and a last-bit change in scoring, bucketing or summation shows up
-(buckets.json prints full-precision means). trend_*.json is left out: its
-fit coefficients come from LAPACK and may differ in the last bit between
-builds.
+(buckets.json prints full-precision means; trend_*.json prints the
+full-precision fit).
 The digests were recorded before the columnar-scores refactor; any change
 to them is output drift between versions, not just between runs. The ingest
 digests were recorded before the ingest rewrite (regex codec, one record
 validator) in the same way; those of stats.json and buckets.json before the
-output formats moved into cli.py.
+output formats moved into cli.py. The trend_*.json digests were recorded
+when the quadratic fit moved from LAPACK to plain-Python sums.
 """
 
 from __future__ import annotations
@@ -67,6 +67,18 @@ GOLDEN = {
         "319be355aa8ee3608c74bc9bee3944580a40ec82d13cd0f71d88c45ddba7d63a",
     "trend_vigor.csv":
         "921500e23db36f931a3347676a7c95c0714d018e4cf8f1a90111e105e1d68293",
+    "trend_anger.json":
+        "c87942fd655f2e742f4f032b326f738b801377989c607d401d46dd390db2aac7",
+    "trend_confusion.json":
+        "b7545b569c1eb1363f3bbf421676a622cc60074df761e51531d849680fcd3624",
+    "trend_depression.json":
+        "2f6490f8d9ebcf5fbb063be524317aaeee21173153f346f90d9680b4a104bdd2",
+    "trend_fatigue.json":
+        "2846ef117b9567b2182db0db7251865ae8d9bae834cfc1583daf9874f4d84661",
+    "trend_tension.json":
+        "518270501f597fa5b798e9fa98a66921e5a9434ecb5b97a8fe8f940c312a8792",
+    "trend_vigor.json":
+        "1b8e08113a25d41edaa6ad9e4d68e4fcf4a3bba036bd89b47171cddca9569965",
 }
 
 
@@ -89,7 +101,8 @@ def golden_run(tmp_path_factory):
     digests = {"corpus.tsv": _sha(corpus)}
     for path in sorted(out.iterdir()):
         if path.name in ("scores.csv", "buckets.json") or (
-                path.name.startswith(("ks_", "trend_")) and path.suffix == ".csv"):
+                path.name.startswith("ks_") and path.suffix == ".csv") or (
+                path.name.startswith("trend_") and path.suffix in (".csv", ".json")):
             digests[path.name] = _sha(path)
     return digests
 

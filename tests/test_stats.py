@@ -98,6 +98,7 @@ class TestKsTwoSample:
 
     @given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=25),
            st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]), min_size=1, max_size=25))
+    @example([-0.0, 0.0, 1.5, -math.inf], [0.0, -0.0, 3.0, math.inf])  # signed zeros tie
     @settings(max_examples=200)
     def test_d_equals_bisect_loop_reference(self, a, b):
         # the per-point bisect loop D was computed with before searchsorted;
@@ -202,6 +203,7 @@ class TestZscoreSeries:
     @example([5e-324, 0.0])  # subnormal: scaling only the deviations fails
     @example([1e300, -1e300])  # squared deviations overflow
     @example([1e308, -1e308, 0.0])  # near the float maximum
+    @example([1.0, 1e16, -1e16])  # plain sum 0.0, compensated sum 1.0
     @settings(max_examples=200)
     def test_output_mean_zero_std_one(self, values):
         zs, degenerate = zscore_series(values)
@@ -280,6 +282,24 @@ class TestPolyfit2:
                 coeffs = [c0, c1, c2]
                 coeffs[di] += sign * eps
                 assert rss(*coeffs) >= best - 1e-12
+
+    @given(st.lists(st.tuples(st.integers(-60, 60), st.floats(-1e3, 1e3)),
+                    min_size=3, max_size=60)
+           .filter(lambda points: len({x for x, _ in points}) >= 3))
+    @example([(i - 29.5, math.sin(i) + 0.01 * i * i) for i in range(60)])  # build_trend's xs
+    @settings(max_examples=300)
+    def test_matches_lstsq_oracle(self, points):
+        xs, ys = (list(col) for col in zip(*points))
+        coeffs, fitted = polyfit2(xs, ys)
+        x = np.array(xs, dtype=float)
+        xbar = x.mean()
+        u = x - xbar
+        design = np.column_stack([np.ones_like(u), u, u * u])
+        (a0, a1, a2), *_ = np.linalg.lstsq(design, np.array(ys), rcond=None)
+        expected = (a0 - a1 * xbar + a2 * xbar * xbar, a1 - 2.0 * a2 * xbar, a2)
+        for got, want in ((coeffs, expected), (fitted, design @ (a0, a1, a2))):
+            scale = max(map(abs, [*got, *want]))
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9 * scale
 
 
 class TestPairwiseKs:
