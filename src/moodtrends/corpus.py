@@ -30,6 +30,7 @@ its line number and a stable reason code.
 from __future__ import annotations
 
 import datetime as dt
+import heapq
 import io
 import json
 import re
@@ -243,7 +244,7 @@ def filter_english(records: Iterable[EmailRecord],
             kept.append(rec)
             flagged.append(rec.id)
             continue
-        hits = sum(1 for t in tokens if t in function_words)
+        hits = sum(map(function_words.__contains__, tokens))
         if hits / len(tokens) >= threshold:
             kept.append(rec)
         else:
@@ -261,11 +262,10 @@ def word_frequency(records: Iterable[EmailRecord], top_n: int) -> list[tuple[str
     stopwords = frozenset(load_word_list("stopwords"))
     counts: Counter[str] = Counter()
     for rec in records:
-        for tok in tokenize(rec.body):
-            if tok not in stopwords:
-                counts[tok] += 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:top_n]
+        counts.update(tokenize(rec.body))
+    for word in stopwords & counts.keys():
+        del counts[word]
+    return heapq.nsmallest(top_n, counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def delivery_histogram(records: Iterable[EmailRecord]

@@ -158,7 +158,8 @@ class CompiledMatcher:
     ``scale_index[i]`` is the vector position of main term i's scale.
     Single-stem sequences live in ``singles``, longer ones in ``phrases``;
     ``phrase_heads`` holds the first stem of every multi-stem sequence so the
-    scorer can skip phrase lookups for most tokens.
+    scorer can skip phrase lookups for most tokens; ``starts`` holds every
+    stem that can begin a match, the only positions the scorer visits.
     """
 
     main_terms: tuple[str, ...]
@@ -166,6 +167,7 @@ class CompiledMatcher:
     singles: dict[str, int]
     phrases: dict[tuple[str, ...], int]
     phrase_heads: frozenset[str]
+    starts: frozenset[str]
     max_phrase_len: int
     warnings: list[CompileWarning] = field(default_factory=list)
 
@@ -190,12 +192,14 @@ def compile_lexicon(lex: MoodLexicon) -> CompiledMatcher:
                 warnings.append(CompileWarning(term=entry.main_term,
                                                colliding_term=main_terms[first],
                                                sequence=seq))
+    heads = frozenset(seq[0] for seq in phrases)
     return CompiledMatcher(
         main_terms=main_terms,
         scale_index=tuple(SCALE_INDEX[e.scale] for e in lex.entries),
         singles=singles,
         phrases=phrases,
-        phrase_heads=frozenset(seq[0] for seq in phrases),
+        phrase_heads=heads,
+        starts=heads.union(singles),
         max_phrase_len=max(map(len, phrases), default=1),
         warnings=warnings,
     )

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from operator import add, itemgetter
 from typing import Iterable, Sequence
 
@@ -25,7 +26,8 @@ def match_counts(stems: Sequence[str], matcher: CompiledMatcher) -> list[int]:
 
     The stem sequence is scanned left to right; at each position the longest
     matching stem sequence wins and is consumed whole (matches never
-    overlap), otherwise the scan advances one stem.
+    overlap), otherwise the scan advances one stem. Only positions whose
+    stem can start a match are visited.
     """
     counts = [0] * len(matcher.main_terms)
     singles = matcher.singles
@@ -33,24 +35,22 @@ def match_counts(stems: Sequence[str], matcher: CompiledMatcher) -> list[int]:
     heads = matcher.phrase_heads
     max_len = matcher.max_phrase_len
     n = len(stems)
-    i = 0
-    while i < n:
+    end = 0  # positions before end were consumed by a phrase
+    for i in compress(range(n), map(matcher.starts.__contains__, stems)):
+        if i < end:
+            continue
         stem = stems[i]
+        idx = None
         if stem in heads:
-            matched = False
             for length in range(min(max_len, n - i), 1, -1):
                 idx = phrases.get(tuple(stems[i:i + length]))
                 if idx is not None:
-                    counts[idx] += 1
-                    i += length
-                    matched = True
+                    end = i + length
                     break
-            if matched:
-                continue
-        idx = singles.get(stem)
+        if idx is None:
+            idx = singles.get(stem)
         if idx is not None:
             counts[idx] += 1
-        i += 1
     return counts
 
 
@@ -68,7 +68,7 @@ class ScoredRecord:
 def score_record(rec: EmailRecord, matcher: CompiledMatcher) -> ScoredRecord:
     """Match the body, sum main-term counts per scale (the scoring key) and
     scale the result to unit Euclidean length."""
-    counts = match_counts([porter_stem(t) for t in tokenize(rec.body)], matcher)
+    counts = match_counts(list(map(porter_stem, tokenize(rec.body))), matcher)
     components = [0.0] * len(SCALES)
     for main_idx, c in enumerate(counts):
         if c:

@@ -3,14 +3,14 @@ corpus statistics."""
 
 from __future__ import annotations
 
-import re
+import string
 from functools import lru_cache
 
 from . import porter
 
-# Runs of a-z letters, joined by internal apostrophes only ("don't" stays
-# one token, "'ello" loses its quote); anything else separates.
-_TOKEN_RE = re.compile(r"[a-z]+(?:'+[a-z]+)*")
+# every ASCII character but a-z and the apostrophe separates words
+_SEPARATE = str.maketrans({c: " " for c in map(chr, range(128))
+                           if c not in string.ascii_lowercase + "'"})
 
 
 def tokenize(text: str) -> list[str]:
@@ -19,7 +19,16 @@ def tokenize(text: str) -> list[str]:
     Digits, punctuation, symbols and any letter that does not lowercase into
     a-z act as separators; apostrophes are kept only word-internally.
     """
-    return _TOKEN_RE.findall(text.lower())
+    text = text.lower()
+    if not text.isascii():
+        # after lower() no non-ASCII character is part of a word
+        text = text.encode("ascii", "replace").decode("ascii")
+    text = f" {text.translate(_SEPARATE)} "
+    words = text.split()
+    # padded, a word starts or ends with an apostrophe only beside a space
+    if " '" in text or "' " in text:
+        words = [w for w in (w.strip("'") for w in words) if w]
+    return words
 
 
 @lru_cache(maxsize=262144)

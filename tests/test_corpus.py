@@ -3,6 +3,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from moodtrends.corpus import (REJECT_BAD_DATE, REJECT_BAD_ENCODING,
                                format_record_line, load_word_list,
                                parse_corpus, unescape_body,
                                word_frequency)
+from moodtrends.textproc import tokenize
 
 
 def tsv_line(rec_id="a1", compose="2006-03-01", delivery="2016-03-01",
@@ -336,6 +338,22 @@ class TestWordFrequency:
         total_tokens = 4
         freq = word_frequency(records, top_n=10)
         assert sum(c for _, c in freq) <= total_tokens
+
+    @given(st.lists(st.lists(st.sampled_from(
+        ["the", "and", "of", "dear", "hope", "love", "alpha", "beta", "don't"]),
+        max_size=12).map(" ".join), max_size=6),
+        st.integers(min_value=0, max_value=12))
+    @example(["the and of", "of the"], 3)  # bodies made only of stopwords
+    @example(["beta alpha", "gamma"], 1)  # tied counts cut at top_n
+    @example(["beta alpha beta alpha hope"], 9)  # top_n over the distinct words
+    @example(["dear hope"], 0)
+    @settings(max_examples=200)
+    def test_matches_full_sort_reference(self, bodies, top_n):
+        stopwords = set(load_word_list("stopwords"))
+        counts = Counter(t for b in bodies for t in tokenize(b) if t not in stopwords)
+        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        records = [make_record(b, rec_id=f"r{i}") for i, b in enumerate(bodies)]
+        assert word_frequency(records, top_n) == ranked[:top_n]
 
 
 class TestDeliveryHistogram:

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import match_reference
 from conftest import make_record
-from moodtrends.lexicon import SCALES, MoodScale, compile_lexicon, load_lexicon
+from moodtrends.lexicon import (SCALES, MoodScale, compile_lexicon,
+                                load_default_lexicon, load_lexicon)
 from moodtrends.scoring import (ScoredRecord, YearBucket, bucket_scores,
                                 match_counts, score_corpus, score_record)
 from moodtrends.textproc import porter_stem, tokenize
@@ -29,6 +31,26 @@ SCALE_WORDS = ("tense", "sad", "angry", "lively", "weary", "dazed")
 @pytest.fixture(scope="module")
 def singles_matcher():
     return compile_lexicon(load_lexicon(SINGLES_ONLY.splitlines()))
+
+
+# the default lexicon has no phrase inside a longer one; here each such pair
+# belongs to two terms, so a scan that tried shorter phrases first would show
+NESTED = """\
+tense | tension | on edge, edge of seat
+sad | depression | blue, feeling blue
+angry | anger | fed up, on edge again
+lively | vigor | worn out again
+weary | fatigue | worn out
+dazed | confusion | fed up again
+"""
+SCAN_MATCHERS = (compile_lexicon(load_default_lexicon()),
+                 compile_lexicon(load_lexicon(NESTED.splitlines())))
+# stem chunks of both lexicons: every single, every phrase and every proper
+# phrase prefix, plus stems that start no match
+STEM_CHUNKS = sorted(
+    {(s,) for m in SCAN_MATCHERS for s in m.singles}
+    | {p[:k] for m in SCAN_MATCHERS for p in m.phrases for k in range(1, len(p) + 1)}
+    | {("tabl",), ("the",), ("zzz",)})
 
 
 def term_counts(tokens, matcher) -> dict[str, int]:
@@ -86,6 +108,23 @@ class TestScoreTokens:
     def test_inflected_forms_match_by_stem(self, matcher):
         assert term_counts(tokenize("worrying"), matcher) == {"worried": 1}
         assert term_counts(tokenize("angered"), matcher) == {"angry": 1}
+
+    @given(st.lists(st.sampled_from(STEM_CHUNKS), max_size=20))
+    # a phrase head that is also a single
+    @example([("beat",), ("beat", "down"), ("beat",), ("down",)])
+    # phrases cut off by the end of the sequence
+    @example([("full", "of")])
+    @example([("wide",)])
+    # overlapping phrases: the earlier one, when whole, consumes the overlap
+    @example([("burn", "out"), ("of", "ga")])
+    @example([("full",), ("of", "two", "mind")])
+    # a phrase inside a longer one (NESTED)
+    @example([("on", "edg", "again"), ("on", "edg"), ("of", "seat")])
+    @settings(max_examples=500)
+    def test_matches_full_scan_reference(self, chunks):
+        stems = [s for chunk in chunks for s in chunk]
+        for m in SCAN_MATCHERS:
+            assert match_counts(stems, m) == match_reference.match_counts(stems, m)
 
     @given(st.lists(st.sampled_from(
         ["tense", "sad", "angry", "lively", "weary", "dazed", "table", "run"]),

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
-import string
-
 import re
+import string
+import time
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +20,11 @@ def old_tokenize(text: str) -> list[str]:
         if word:
             out.append(word)
     return out
+
+
+def regex_tokenize(text: str) -> list[str]:
+    """The single regex the translate-and-split tokenizer replaced."""
+    return re.findall(r"[a-z]+(?:'+[a-z]+)*", text.lower())
 
 
 class TestTokenize:
@@ -60,11 +65,28 @@ class TestTokenize:
     def test_concatenation_with_separator(self, left, right):
         assert tokenize(left + " " + right) == tokenize(left) + tokenize(right)
 
+    def test_apostrophe_run_is_linear(self):
+        # a strip loop that rescans the text once per apostrophe would not finish
+        start = time.perf_counter()
+        assert tokenize("x " + "'" * 1_000_000 + " y") == ["x", "y"]
+        assert time.perf_counter() - start < 5.0
+
     @given(st.text(st.one_of(st.sampled_from("ab'' -ZİK\n1."), st.characters()),
                    max_size=60))
+    # U+212A KELVIN SIGN lowercases to ASCII k; U+0130 to i plus a combining dot
+    @example("\u212aelvin \u0130stanbul")
+    # a lone surrogate, which a JSONL body can carry
+    @example("a\ud800b")
+    # characters str.split() also treats as whitespace
+    @example("a\x1cb\x1dc\x1ed\x1fe\x85f\xa0g\u2028h")
+    @example("''a''b''")
+    @example("a' 'b")
+    @example("' '")
+    @example("x " + "'" * 10_000 + " y")
     @settings(max_examples=500)
     def test_matches_run_then_strip_reference(self, text):
-        assert tokenize(text) == old_tokenize(text)
+        # and the single regex the translate-and-split path replaced
+        assert tokenize(text) == old_tokenize(text) == regex_tokenize(text)
 
 
 class TestPorterStem:
