@@ -152,6 +152,21 @@ def _safe_fillers(used: set[str], fillers: Sequence[str]) -> list[str]:
     return safe
 
 
+# the most terms one scale may plant in one letter (C7 plants 10), so a
+# huge or infinite intensity is a spec error, not a hang or a traceback
+MAX_TERMS_PER_SCALE = 10_000
+
+
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A draw from range(n) as ``random.Random`` makes it: ``bits(k)`` with
+    k = n.bit_length(), repeated until the value is below n."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def generate_corpus(specs: Sequence[TrendSpec], years: Sequence[int],
                     emails_per_year: int, lexicon: MoodLexicon, seed: int,
                     origin_year: int | None = None) -> list[EmailRecord]:
@@ -160,7 +175,14 @@ def generate_corpus(specs: Sequence[TrendSpec], years: Sequence[int],
     For each (year, email) a per-scale target intensity profile(i) +
     gauss(0, noise_sd) is drawn, clamped at zero and rounded to a term
     count; that many terms are sampled from the scale's lexicon entries.
-    Documents are composed in origin_year and delivered in the bucket year.
+    A count that is not finite or exceeds MAX_TERMS_PER_SCALE raises
+    ValueError. Documents are composed in origin_year and delivered in the
+    bucket year.
+
+    Each letter draws from ``random.Random(f"{seed}:{year}:{email_idx}")``;
+    picks and the shuffle are written on its ``getrandbits`` with the rule
+    of CPython's ``Random.choice`` and ``Random.shuffle``, so the same
+    arguments give the same records on every supported Python.
     """
     years = sorted(years)
     if not years:
@@ -184,33 +206,53 @@ def generate_corpus(specs: Sequence[TrendSpec], years: Sequence[int],
     nouns = _safe_fillers(used, load_word_list("filler_words"))
     function_fillers = _safe_fillers(used, _FUNCTION_FILLERS)
 
+    n_function, n_nouns = len(function_fillers), len(nouns)
+    k_function, k_nouns = n_function.bit_length(), n_nouns.bit_length()
+    rng = random.Random()
+    bits = rng.getrandbits
     compose = dt.date(origin_year, 1, 1)
     records: list[EmailRecord] = []
     for year_idx, year in enumerate(years):
         delivery = dt.date(year, 7, 1)
+        planted = [(spec.dimension, spec.profile(year_idx), spec.noise_sd,
+                    terms_by_scale[spec.dimension]) for spec in specs]
         for email_idx in range(emails_per_year):
-            rng = random.Random(f"{seed}:{year}:{email_idx}")
+            rng.seed(f"{seed}:{year}:{email_idx}")
             chunks: list[str] = []
-            for spec in specs:
-                intensity = spec.profile(year_idx)
-                if spec.noise_sd > 0:
-                    intensity += rng.gauss(0.0, spec.noise_sd)
-                count = max(0, round(intensity))
-                terms = terms_by_scale[spec.dimension]
-                for _ in range(count):
-                    chunks.append(rng.choice(terms))
-            rng.shuffle(chunks)
-            # one function word + one noun per filler slot, so every body
-            # clears the function-word-ratio language filter
-            words = [f"{rng.choice(function_fillers)} {rng.choice(nouns)}"]
-            for chunk in chunks:
-                words.append(chunk)
-                words.append(f"{rng.choice(function_fillers)} {rng.choice(nouns)}")
-            body = " ".join(words)
+            for scale, intensity, noise_sd, terms in planted:
+                if noise_sd > 0:
+                    intensity += rng.gauss(0.0, noise_sd)
+                if not math.isfinite(intensity) or round(intensity) > MAX_TERMS_PER_SCALE:
+                    raise ValueError(
+                        f"trend.{scale} plants {intensity:g} terms in a {year} letter; "
+                        f"the ceiling is {MAX_TERMS_PER_SCALE} per scale per letter")
+                chunks += [terms[_below(bits, len(terms))]
+                           for _ in range(max(0, round(intensity)))]
+            # Fisher-Yates from the end, as Random.shuffle
+            for i in range(len(chunks) - 1, 0, -1):
+                j = _below(bits, i + 1)
+                chunks[i], chunks[j] = chunks[j], chunks[i]
+            # the body is filler slots with the chunks between them, as
+            # words: function noun chunk function noun ... function noun.
+            # A function word per slot makes every body clear the
+            # function-word-ratio language filter. The slots draw in body
+            # order, after the shuffle. At two draws per slot they are the
+            # hottest draws, so _below is inlined here.
+            words = [""] * (3 * len(chunks) + 2)
+            words[2::3] = chunks
+            for at in range(0, len(words), 3):
+                f = bits(k_function)
+                while f >= n_function:
+                    f = bits(k_function)
+                g = bits(k_nouns)
+                while g >= n_nouns:
+                    g = bits(k_nouns)
+                words[at] = function_fillers[f]
+                words[at + 1] = nouns[g]
             records.append(EmailRecord(
                 id=f"synth-{year}-{email_idx:04d}",
                 compose_date=compose,
                 delivery_date=delivery,
-                body=body,
+                body=" ".join(words),
             ))
     return records

@@ -445,23 +445,23 @@ class TestStemCommand:
         assert "daunted\tdaunt" in out
 
 
+def _python(*args, timeout=None):
+    import os
+    import subprocess
+    import sys
+
+    import moodtrends
+    # the child must import the same package this test imported
+    package_root = str(Path(moodtrends.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
 class TestModuleEntryPoint:
-    @staticmethod
-    def _python(*args):
-        import os
-        import subprocess
-        import sys
-
-        import moodtrends
-        # the child must import the same package this test imported
-        package_root = str(Path(moodtrends.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                              env=env)
-
     def test_python_dash_m_invocation(self):
-        proc = self._python("-m", "moodtrends", "stem", "worrying")
+        proc = _python("-m", "moodtrends", "stem", "worrying")
         assert proc.returncode == EXIT_OK
         assert "worrying\tworri" in proc.stdout
 
@@ -489,17 +489,17 @@ class TestModuleEntryPoint:
             "analyze": ["analyze", *corpus, "--lexicon", str(LEXICON), *out],
             "analyze-scores": ["analyze", "--scores", str(scored / "scores.csv"), *out],
         }[command]
-        proc = self._python("-c", self._NUMPY_PROBE, *argv)
+        proc = _python("-c", self._NUMPY_PROBE, *argv)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
 
     def test_numpy_probe_positive_control(self):
-        proc = self._python("-c", "import numpy\n" + self._NUMPY_PROBE, "stem", "worrying")
+        proc = _python("-c", "import numpy\n" + self._NUMPY_PROBE, "stem", "worrying")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.splitlines()[-1] == "True"
 
     def test_cli_import_skips_xml_stack(self):
-        proc = self._python("-c", "import sys, moodtrends.cli; print(sorted("
+        proc = _python("-c", "import sys, moodtrends.cli; print(sorted("
                             "m for m in sys.modules if m.startswith('xml.sax')))")
         assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
@@ -974,6 +974,23 @@ def test_lexicon_with_bom_accepted(tmp_path):
     corpus.write_text("")
     assert main(["score", "--corpus", str(corpus), "--lexicon", str(lexicon),
                  "--output-dir", str(tmp_path / "o")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("trend,planted", [
+    ("quadratic(0, 1e308, 1e308)", "inf terms in a 2008 letter"),
+    ("constant(1e12)", "1e+12 terms in a 2007 letter"),
+    ("constant(1)\nnoise_sd.vigor = 1e300", "9.65158e+299 terms in a 2007 letter"),
+], ids=["infinite-intensity", "huge-intensity", "huge-noise"])
+def test_synth_count_over_ceiling_error_line(tmp_path, trend, planted):
+    # in a subprocess with a timeout, so a hang fails instead of stalling the suite
+    spec = tmp_path / "bad.spec"
+    spec.write_text(SYNTH_BASE.replace("constant(3)", trend))
+    proc = _python("-m", "moodtrends", "synth", "--spec", str(spec),
+                   "--out", str(tmp_path / "x.tsv"), timeout=30)
+    assert (proc.returncode, proc.stderr) == (
+        EXIT_DATA, f"error: bad synth spec: trend.vigor plants {planted}; "
+                   "the ceiling is 10000 per scale per letter\n")
+    assert not (tmp_path / "x.tsv").exists()
 
 
 @pytest.mark.parametrize("profile", ["step(1, 6, inf)", "constant(nan)",

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import synth_reference
 from ks_oracle import mc_perm_p
 from moodtrends.corpus import filter_english, format_record_line
-from moodtrends.lexicon import MoodScale, compile_lexicon, load_lexicon
+from moodtrends.lexicon import MoodScale, compile_lexicon, load_default_lexicon, load_lexicon
 from moodtrends.scoring import score_corpus, score_record
 from moodtrends.stats import pairwise_ks
-from moodtrends.synth import generate_corpus, make_trend_spec, parse_profile
+from moodtrends.synth import (MAX_TERMS_PER_SCALE, generate_corpus, make_trend_spec,
+                              parse_profile)
 from moodtrends.textproc import tokenize
 
 YEARS = range(2007, 2017)
@@ -156,3 +160,84 @@ class TestGenerateCorpus:
         assert all(d > 0 for d in raw_diffs)
         fit_diffs = [b - a for a, b in zip(trend.fitted, trend.fitted[1:])]
         assert all(d > 0 for d in fit_diffs)
+
+
+# tension has exactly one term, so every pick of it keeps drawing
+# getrandbits(1) until 0; depression has four, a power of two; fatigue's
+# second term is a phrase
+SMALL_LEXICON = [
+    "tense | tension",
+    "sad | depression | sorrowful, glum, gloomy",
+    "angry | anger | mad, furious",
+    "lively | vigor | spirited, energetic",
+    "weary | fatigue | worn out",
+    "dazed | confusion | foggy, muddled",
+]
+_LEXICONS = {"small": load_lexicon(SMALL_LEXICON), "default": load_default_lexicon()}
+
+_level = st.floats(-3, 8).map(repr)
+_slope = st.floats(-2, 2).map(repr)
+_PROFILE = st.one_of(
+    st.builds("constant({})".format, _level),
+    st.builds("linear({})".format, _slope),
+    st.builds("linear({}, {})".format, _slope, _level),
+    st.builds("quadratic({}, {}, {})".format, _level, _slope, st.floats(-0.5, 0.5).map(repr)),
+    st.builds("step({}, {}, {})".format, _level, _level, st.integers(-1, 6).map(str)),
+)
+_PLAN = st.lists(
+    st.tuples(st.sampled_from([s.value for s in MoodScale]), _PROFILE,
+              st.one_of(st.just(0.0), st.floats(0.01, 3))),
+    min_size=1, max_size=4, unique_by=lambda t: t[0])
+
+
+class TestOracle:
+    """generate_corpus gives the records of the choice/shuffle generator
+    kept in tests/synth_reference.py."""
+
+    @given(plan=_PLAN, lexicon=st.sampled_from(sorted(_LEXICONS)),
+           first_year=st.integers(1990, 2030), n_years=st.integers(1, 5),
+           emails_per_year=st.integers(1, 4),
+           origin_back=st.one_of(st.none(), st.integers(0, 3)),
+           seed=st.integers(-2**64, 2**64))
+    @settings(max_examples=150, deadline=None)
+    # letters of 0, 1 and 2 chunks: shuffle draws nothing below 2
+    @example(plan=[("tension", "constant(0)", 0.0)], lexicon="small", first_year=2010,
+             n_years=2, emails_per_year=2, origin_back=None, seed=0)
+    @example(plan=[("tension", "constant(1)", 0.0)], lexicon="small", first_year=2010,
+             n_years=2, emails_per_year=2, origin_back=None, seed=1)
+    @example(plan=[("depression", "constant(2)", 0.0)], lexicon="small", first_year=2010,
+             n_years=2, emails_per_year=2, origin_back=1, seed=2)
+    @example(plan=[("tension", "constant(1)", 0.0), ("anger", "constant(1)", 0.0)],
+             lexicon="default", first_year=2010, n_years=2, emails_per_year=2,
+             origin_back=0, seed=3)
+    def test_same_records_as_reference(self, plan, lexicon, first_year, n_years,
+                                       emails_per_year, origin_back, seed):
+        specs = [make_trend_spec(MoodScale(scale), expr, noise_sd=noise)
+                 for scale, expr, noise in plan]
+        years = range(first_year, first_year + n_years)
+        origin = None if origin_back is None else first_year - origin_back
+        args = (specs, years, emails_per_year, _LEXICONS[lexicon], seed, origin)
+        assert generate_corpus(*args) == synth_reference.generate_corpus(*args)
+
+
+class TestCountCeiling:
+    @pytest.mark.parametrize("expr,year,shown", [
+        ("quadratic(0, 1e308, 1e308)", 2011, "inf"),
+        ("quadratic(0, 1e308, -1e308)", 2012, "nan"),
+        ("quadratic(0, -1e308, -1e308)", 2011, "-inf"),
+        ("constant(1e12)", 2010, "1e+12"),
+        (f"constant({MAX_TERMS_PER_SCALE + 1})", 2010, "10001"),
+    ])
+    def test_count_over_ceiling_rejected(self, default_lexicon, expr, year, shown):
+        spec = make_trend_spec(MoodScale.VIGOR, expr)
+        with pytest.raises(ValueError) as info:
+            generate_corpus([spec], range(2010, 2014), 2, default_lexicon, seed=1)
+        assert str(info.value) == (
+            f"trend.vigor plants {shown} terms in a {year} letter; "
+            f"the ceiling is {MAX_TERMS_PER_SCALE} per scale per letter")
+
+    def test_count_at_ceiling_drawn(self):
+        # 10000.5 rounds half to even, so exactly the ceiling
+        spec = make_trend_spec(MoodScale.TENSION, f"constant({MAX_TERMS_PER_SCALE}.5)")
+        [record] = generate_corpus([spec], [2010], 1, _LEXICONS["small"], seed=3)
+        assert tokenize(record.body).count("tense") == MAX_TERMS_PER_SCALE
