@@ -262,23 +262,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     flagged_total = 0
     for dimension in SCALES:
+        name = dimension.value
         matrix = stats.pairwise_ks(buckets, dimension,
                                    alpha_significant=cfg.alpha_significant,
                                    alpha_marginal=cfg.alpha_marginal)
         flagged_total += sum(f != stats.FLAG_NONE for f in matrix.flags.values())
-        _write_lines(out_dir / f"ks_{dimension.value}.csv", [
+        # cells and flags share one insertion order
+        _write_lines(out_dir / f"ks_{name}.csv", [
             "year_a,year_b,dimension,d,p,flag",
-            *(f"{ya},{yb},{dimension.value},{r.d_statistic:.6g},{r.p_value:.4f},"
-              f"{matrix.flags[ya, yb]}" for (ya, yb), r in matrix.cells.items())])
+            *(f"{ya},{yb},{name},{r.d_statistic:.6g},{r.p_value:.4f},{flag}"
+              for ((ya, yb), r), flag in zip(matrix.cells.items(), matrix.flags.values()))])
 
         if trends_possible:
             trend = stats.build_trend(buckets, dimension)
-            _write_lines(out_dir / f"trend_{dimension.value}.csv", [
+            _write_lines(out_dir / f"trend_{name}.csv", [
                 "year,raw_mean,z,fitted",
                 *(f"{year},{raw:.6g},{z:.6g},{fitted:.6g}" for year, raw, z, fitted
                   in zip(trend.years, trend.raw_means, trend.z_scores, trend.fitted))])
             trend_json = {
-                "dimension": dimension.value,
+                "dimension": name,
                 "years": trend.years,
                 "raw_means": [repr(v) for v in trend.raw_means],
                 "z_scores": [repr(v) for v in trend.z_scores],
@@ -286,10 +288,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "fitted": [repr(v) for v in trend.fitted],
                 "degenerate": trend.degenerate,
             }
-            _write_lines(out_dir / f"trend_{dimension.value}.json",
+            _write_lines(out_dir / f"trend_{name}.json",
                          [json.dumps(trend_json, indent=2)])
             if cfg.emit_svg:
-                _write_lines(out_dir / f"trend_{dimension.value}.svg",
+                _write_lines(out_dir / f"trend_{name}.svg",
                              [svg.render_trend_svg(trend, matrix)])
 
     years_str = f"{min(non_empty)}-{max(non_empty)}"

@@ -88,6 +88,9 @@ def parse_synth_spec(pairs: dict[str, str]) -> dict:
         raise ValueError(f"bad years value {plain['years']!r}") from None
     if year_hi < year_lo:
         raise ValueError(f"empty year range {plain['years']!r}")
+    if year_lo < dt.MINYEAR or year_hi > dt.MAXYEAR:
+        raise ValueError(f"years must lie in {dt.MINYEAR}-{dt.MAXYEAR}, "
+                         f"got {plain['years']!r}")
     if not trend_specs:
         raise ValueError("synth spec defines no trend.<scale> lines")
     for scale in noise_by_scale:
@@ -155,6 +158,9 @@ def _safe_fillers(used: set[str], fillers: Sequence[str]) -> list[str]:
 # the most terms one scale may plant in one letter (C7 plants 10), so a
 # huge or infinite intensity is a spec error, not a hang or a traceback
 MAX_TERMS_PER_SCALE = 10_000
+# the most letters one corpus may hold, about 100x the paper's 10,741; every
+# record is built in memory before any is written
+MAX_SYNTH_RECORDS = 1_000_000
 
 
 def _below(bits: Callable[[int], int], n: int) -> int:
@@ -175,20 +181,24 @@ def generate_corpus(specs: Sequence[TrendSpec], years: Sequence[int],
     For each (year, email) a per-scale target intensity profile(i) +
     gauss(0, noise_sd) is drawn, clamped at zero and rounded to a term
     count; that many terms are sampled from the scale's lexicon entries.
-    A count that is not finite or exceeds MAX_TERMS_PER_SCALE raises
-    ValueError. Documents are composed in origin_year and delivered in the
-    bucket year.
+    A count that is not finite or exceeds MAX_TERMS_PER_SCALE, or more than
+    MAX_SYNTH_RECORDS letters in all, raises ValueError. Documents are
+    composed in origin_year and delivered in the bucket year.
 
     Each letter draws from ``random.Random(f"{seed}:{year}:{email_idx}")``;
     picks and the shuffle are written on its ``getrandbits`` with the rule
     of CPython's ``Random.choice`` and ``Random.shuffle``, so the same
     arguments give the same records on every supported Python.
     """
+    if emails_per_year < 1:
+        raise ValueError("emails_per_year must be >= 1")
+    if len(years) * emails_per_year > MAX_SYNTH_RECORDS:
+        raise ValueError(f"years x emails_per_year = {len(years)} x {emails_per_year} "
+                         f"= {len(years) * emails_per_year} letters; the ceiling is "
+                         f"{MAX_SYNTH_RECORDS} per corpus")
     years = sorted(years)
     if not years:
         raise ValueError("empty year range")
-    if emails_per_year < 1:
-        raise ValueError("emails_per_year must be >= 1")
     if origin_year is None:
         origin_year = years[0]
     if origin_year > years[0]:

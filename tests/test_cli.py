@@ -829,6 +829,9 @@ def test_lexicon_rule_error_line(tmp_path, capsys, line, message):
     ("years = 2007-2009\n", "", "synth spec needs a years = MIN-MAX line"),
     ("2007-2009", "2007-later", "bad years value '2007-later'"),
     ("2007-2009", "2009-2007", "empty year range '2009-2007'"),
+    ("2007-2009", "0-2009", "years must lie in 1-9999, got '0-2009'"),
+    ("2007-2009", "2007-100000000000000000000",
+     "years must lie in 1-9999, got '2007-100000000000000000000'"),
     ("trend.vigor = constant(3)\n", "", "synth spec defines no trend.<scale> lines"),
     ("constant(3)", "constant 3", "bad profile expression 'constant 3'"),
     ("constant(3)", "constant(three)", "bad profile arguments in 'constant(three)'"),
@@ -849,6 +852,7 @@ def test_lexicon_rule_error_line(tmp_path, capsys, line, message):
     ("seed = 1", "noise_sd.vigor = 0\nnoise_sd = inf", "noise_sd must be finite, got inf"),
     ("seed = 1", "noise_sd.vigor = 0\nnoise_sd = -1", "noise_sd must be >= 0"),
 ], ids=["unknown-key", "unknown-scale", "missing-years", "bad-years", "empty-range",
+        "year-zero", "huge-year-span",
         "no-trend", "bad-expression", "bad-arguments", "unknown-profile",
         "step-arity", "linear-arity", "negative-noise", "negative-scale-noise",
         "infinite-noise", "nan-noise", "infinite-scale-noise", "nan-scale-noise",
@@ -990,6 +994,25 @@ def test_synth_count_over_ceiling_error_line(tmp_path, trend, planted):
     assert (proc.returncode, proc.stderr) == (
         EXIT_DATA, f"error: bad synth spec: trend.vigor plants {planted}; "
                    "the ceiling is 10000 per scale per letter\n")
+    assert not (tmp_path / "x.tsv").exists()
+
+
+@pytest.mark.parametrize("years,per_year,letters", [
+    ("2007", "100000000", "1 x 100000000 = 100000000"),
+    ("1000-9999", "200", "9000 x 200 = 1800000"),
+    ("2007-2009", "333334", "3 x 333334 = 1000002"),
+], ids=["huge-per-year", "long-span", "just-over"])
+def test_synth_letters_over_ceiling_error_line(tmp_path, years, per_year, letters):
+    # in a subprocess with a timeout, so building the corpus fails instead of
+    # stalling the suite
+    spec = tmp_path / "big.spec"
+    spec.write_text(SYNTH_BASE.replace("2007-2009", years)
+                    .replace("emails_per_year = 2", f"emails_per_year = {per_year}"))
+    proc = _python("-m", "moodtrends", "synth", "--spec", str(spec),
+                   "--out", str(tmp_path / "x.tsv"), timeout=30)
+    assert (proc.returncode, proc.stderr) == (
+        EXIT_DATA, f"error: bad synth spec: years x emails_per_year = {letters} letters; "
+                   "the ceiling is 1000000 per corpus\n")
     assert not (tmp_path / "x.tsv").exists()
 
 

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ks_oracle import brute_perm_p, exact_perm_p, mc_perm_p, oracle_d
@@ -24,6 +25,10 @@ def unit_vector(depression: float) -> tuple[float, ...]:
 
 def bucket_of(year: int, depressions: list[float]) -> YearBucket:
     return YearBucket(vectors=[unit_vector(d) for d in depressions])
+
+
+def bucket_of_components(tensions: list[float]) -> YearBucket:
+    return YearBucket(vectors=[(t, 0.0, 0.0, 0.0, 0.0, 0.0) for t in tensions])
 
 
 class TestKsTwoSample:
@@ -347,6 +352,35 @@ class TestPairwiseKs:
         assert pairs == sorted(pairs) == list(matrix.flags)
         assert len(pairs) == 6
         assert all(a < b for a, b in pairs)
+
+    # heavy ties from a small pool: signed zeros, an infinity and unequal sizes
+    @given(st.dictionaries(
+        st.integers(1990, 2030),
+        st.lists(st.sampled_from([-0.0, 0.0, 0.25, 1.0, 2.0, math.inf]),
+                 min_size=0, max_size=30),
+        min_size=2, max_size=8))
+    @example({2000: [0.0, -0.0, 1.0], 2001: [-0.0, math.inf, math.inf, 1.0, 0.0]})
+    @settings(max_examples=150)
+    def test_cells_equal_single_test_oracle_and_flag(self, samples):
+        assume(sum(1 for v in samples.values() if v) >= 2)
+        buckets = {y: bucket_of_components(v) for y, v in samples.items()}
+        matrix = pairwise_ks(buckets, MoodScale.TENSION)
+        years = sorted(y for y, v in samples.items() if v)
+        assert matrix.pairs() == list(itertools.combinations(years, 2))
+        for (ya, yb), result in matrix.cells.items():
+            a, b = samples[ya], samples[yb]
+            assert result == ks_two_sample(a, b)
+            assert result.d_statistic == oracle_d(a, b)
+            assert matrix.flags[ya, yb] == classify_p(result.p_value)
+
+    def test_one_value_everywhere_gives_d_zero_p_one(self):
+        buckets = {y: bucket_of_components([0.5] * k)
+                   for y, k in ((2010, 1), (2011, 4), (2012, 9))}
+        matrix = pairwise_ks(buckets, MoodScale.TENSION)
+        assert len(matrix.cells) == 3
+        for pair, result in matrix.cells.items():
+            assert (result.d_statistic, result.p_value) == (0.0, 1.0)
+            assert matrix.flags[pair] == FLAG_NONE
 
     def test_classify_thresholds(self):
         assert classify_p(0.049) == "significant"
