@@ -387,7 +387,3 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, LexiconError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-
-
-if __name__ == "__main__":
-    sys.exit(main())

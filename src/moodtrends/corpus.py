@@ -117,11 +117,11 @@ def _fields(line: str, fmt: str) -> tuple[str, str, str, str]:
     """(id, compose, delivery, body) of one decoded line of either format."""
     if fmt == "tsv":
         parts = line.split("\t")
+        rec_id = parts[0].strip()
         if len(parts) != 4:
-            raise _Rejected(parts[0], REJECT_BAD_FIELDS,
+            raise _Rejected(rec_id, REJECT_BAD_FIELDS,
                             f"expected 4 tab-separated fields, got {len(parts)}")
-        rec_id, compose, delivery, body = parts
-        return rec_id.strip(), compose, delivery, unescape_body(body)
+        return rec_id, parts[1], parts[2], unescape_body(parts[3])
     try:
         obj = json.loads(line)
     # ValueError covers JSONDecodeError and integer literals over the

@@ -50,18 +50,20 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
     lambda = (sqrt(ne) + 0.12 + 0.11/sqrt(ne)) * D, ne = n*m/(n+m).
 
     D is computed from integer CDF counts at every pooled sample point (ties
-    included), so it is exact and symmetric in the two samples. NaN is rejected.
+    included), so it is exact and symmetric in the two samples. An empty
+    sample or a NaN is rejected.
     """
-    if len(a) < 1 or len(b) < 1:
-        raise ValueError("both samples must be non-empty")
-    if any(map(math.isnan, itertools.chain(a, b))):
-        raise ValueError("samples must not contain NaN")
-    return _ks_result(*_ks_key(_step_table(map(float, a)), _step_table(map(float, b))))
+    return _ks_result(*_ks_key(_step_table(a), _step_table(b)))
 
 
 def _step_table(sample: Iterable[float]) -> _StepTable:
-    """Distinct values ascending and the count <= each (the last is the size)."""
-    counts = Counter(sample)
+    """Distinct values ascending and the count <= each (the last is the size).
+    Every KS sample is read here: ValueError if it is empty or holds a NaN."""
+    counts = Counter(map(float, sample))
+    if not counts:
+        raise ValueError("both samples must be non-empty")
+    if any(map(math.isnan, counts)):
+        raise ValueError("samples must not contain NaN")
     values = sorted(counts)
     return values, list(itertools.accumulate(map(counts.__getitem__, values)))
 

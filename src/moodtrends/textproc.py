@@ -34,6 +34,4 @@ def tokenize(text: str) -> list[str]:
 @lru_cache(maxsize=262144)
 def porter_stem(word: str) -> str:
     """Porter stem of a token; apostrophes are dropped before stemming."""
-    if "'" in word:
-        word = word.replace("'", "")
-    return porter.stem(word)
+    return porter.stem(word.replace("'", ""))

@@ -25,6 +25,20 @@ def matcher(default_lexicon):
     return compile_lexicon(default_lexicon)
 
 
+def run_python(*args, timeout=None):
+    """Run a child interpreter on args; the child imports the same package
+    this test process imported."""
+    import os
+    import subprocess
+
+    import moodtrends
+    package_root = str(Path(moodtrends.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
 def make_record(body: str, rec_id: str = "r1", compose: str = "2006-03-01",
                 delivery: str = "2010-03-01") -> EmailRecord:
     return EmailRecord(

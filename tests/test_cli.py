@@ -12,7 +12,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record
+from conftest import make_record, run_python
 from moodtrends.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from moodtrends.corpus import format_record_line, parse_corpus_file
 from moodtrends.lexicon import load_default_lexicon
@@ -445,23 +445,9 @@ class TestStemCommand:
         assert "daunted\tdaunt" in out
 
 
-def _python(*args, timeout=None):
-    import os
-    import subprocess
-    import sys
-
-    import moodtrends
-    # the child must import the same package this test imported
-    package_root = str(Path(moodtrends.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=timeout)
-
-
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self):
-        proc = _python("-m", "moodtrends", "stem", "worrying")
+        proc = run_python("-m", "moodtrends", "stem", "worrying")
         assert proc.returncode == EXIT_OK
         assert "worrying\tworri" in proc.stdout
 
@@ -489,18 +475,18 @@ class TestModuleEntryPoint:
             "analyze": ["analyze", *corpus, "--lexicon", str(LEXICON), *out],
             "analyze-scores": ["analyze", "--scores", str(scored / "scores.csv"), *out],
         }[command]
-        proc = _python("-c", self._NUMPY_PROBE, *argv)
+        proc = run_python("-c", self._NUMPY_PROBE, *argv)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
 
     def test_numpy_probe_positive_control(self):
-        proc = _python("-c", "import numpy\n" + self._NUMPY_PROBE, "stem", "worrying")
+        proc = run_python("-c", "import numpy\n" + self._NUMPY_PROBE, "stem", "worrying")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.splitlines()[-1] == "True"
 
     def test_cli_import_skips_xml_stack(self):
-        proc = _python("-c", "import sys, moodtrends.cli; print(sorted("
-                            "m for m in sys.modules if m.startswith('xml.sax')))")
+        proc = run_python("-c", "import sys, moodtrends.cli; print(sorted("
+                               "m for m in sys.modules if m.startswith('xml.sax')))")
         assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
@@ -989,8 +975,8 @@ def test_synth_count_over_ceiling_error_line(tmp_path, trend, planted):
     # in a subprocess with a timeout, so a hang fails instead of stalling the suite
     spec = tmp_path / "bad.spec"
     spec.write_text(SYNTH_BASE.replace("constant(3)", trend))
-    proc = _python("-m", "moodtrends", "synth", "--spec", str(spec),
-                   "--out", str(tmp_path / "x.tsv"), timeout=30)
+    proc = run_python("-m", "moodtrends", "synth", "--spec", str(spec),
+                      "--out", str(tmp_path / "x.tsv"), timeout=30)
     assert (proc.returncode, proc.stderr) == (
         EXIT_DATA, f"error: bad synth spec: trend.vigor plants {planted}; "
                    "the ceiling is 10000 per scale per letter\n")
@@ -1008,8 +994,8 @@ def test_synth_letters_over_ceiling_error_line(tmp_path, years, per_year, letter
     spec = tmp_path / "big.spec"
     spec.write_text(SYNTH_BASE.replace("2007-2009", years)
                     .replace("emails_per_year = 2", f"emails_per_year = {per_year}"))
-    proc = _python("-m", "moodtrends", "synth", "--spec", str(spec),
-                   "--out", str(tmp_path / "x.tsv"), timeout=30)
+    proc = run_python("-m", "moodtrends", "synth", "--spec", str(spec),
+                      "--out", str(tmp_path / "x.tsv"), timeout=30)
     assert (proc.returncode, proc.stderr) == (
         EXIT_DATA, f"error: bad synth spec: years x emails_per_year = {letters} letters; "
                    "the ceiling is 1000000 per corpus\n")

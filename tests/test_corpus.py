@@ -81,10 +81,12 @@ class TestParseCorpus:
         assert rejections[0].line_no == 2
 
     def test_malformed_line_does_not_abort(self):
-        data = b"only-two\tfields\n" + tsv_line().encode()
+        # the id of a line with too few fields is trimmed like a record's
+        data = b"only-two\tfields\n abc \tx\n" + tsv_line().encode()
         records, rejections = parse_corpus(data)
         assert len(records) == 1
-        assert rejections[0].code == REJECT_BAD_FIELDS
+        assert [(r.code, r.record_id) for r in rejections] == [
+            (REJECT_BAD_FIELDS, "only-two"), (REJECT_BAD_FIELDS, "abc")]
 
     def test_bad_date(self):
         data = tsv_line(compose="not-a-date").encode()

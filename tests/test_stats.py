@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from ks_oracle import brute_perm_p, exact_perm_p, mc_perm_p, oracle_d
 from moodtrends.lexicon import MoodScale
 from moodtrends.scoring import YearBucket
@@ -342,6 +343,26 @@ class TestPairwiseKs:
         buckets = {2010: bucket_of(2010, [0.5, 0.6])}
         with pytest.raises(ValueError):
             pairwise_ks(buckets, MoodScale.DEPRESSION)
+
+    def test_nan_component_rejected_not_looped_on(self):
+        # in a child interpreter with a timeout: a NaN left unchecked stalls
+        # the two-pointer merge, and that must fail the test, not hang it
+        child = (
+            "import math\n"
+            "from moodtrends.lexicon import MoodScale\n"
+            "from moodtrends.scoring import YearBucket\n"
+            "from moodtrends.stats import pairwise_ks\n"
+            "def bucket(ts):\n"
+            "    return YearBucket(vectors=[(t, 0.0, 0.0, 0.0, 0.0, 0.0) for t in ts])\n"
+            "buckets = {2010: bucket([0.1, math.nan]), 2011: bucket([0.2, 0.3])}\n"
+            "try:\n"
+            "    pairwise_ks(buckets, MoodScale.TENSION)\n"
+            "except ValueError as exc:\n"
+            "    print(f'ValueError: {exc}')\n")
+        proc = run_python("-c", child, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("ValueError: ")
+        assert "NaN" in proc.stdout
 
     def test_csv_rows_one_per_unordered_pair(self):
         rng = random.Random(8)
