@@ -146,7 +146,7 @@ def _buckets_json(buckets: dict[int, YearBucket]) -> dict:
     return out
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace) -> None:
     cfg = _build_config(args)
     records, rejections = _load_records(cfg)
     out_dir = Path(cfg.output_dir)
@@ -172,13 +172,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     print(f"records: {len(records)}  rejected lines: {len(rejections)}  "
           f"years: {len(per_year)}")
-    return EXIT_OK
 
 
 SCORES_HEADER = ["id", "delivery_year", *(s.value for s in SCALES), "match_count"]
 
 
-def cmd_score(args: argparse.Namespace) -> int:
+def cmd_score(args: argparse.Namespace) -> None:
     cfg = _build_config(args)
     records, rejections, filtered, rows = _score_chain(cfg)
     buckets = bucket_scores(rows)
@@ -206,7 +205,6 @@ def cmd_score(args: argparse.Namespace) -> int:
     print(f"parsed: {len(records)}  rejected lines: {len(rejections)}  "
           f"non-english: {len(filtered.rejected)}  short-flagged: {len(filtered.flagged_short)}  "
           f"scored: {len(rows)}  zero-match: {zero_total}")
-    return EXIT_OK
 
 
 def _read_scores_csv(path) -> list[ScoredRecord]:
@@ -242,7 +240,7 @@ def _scores_row(row: list[str]) -> ScoredRecord:
     return ScoredRecord(row[0], year, components, match_count)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> None:
     cfg = _build_config(args)
     if args.scores:
         rows = [row for row in _read_scores_csv(args.scores)
@@ -297,10 +295,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     years_str = f"{min(non_empty)}-{max(non_empty)}"
     print(f"analyzed years: {years_str}  dimensions: {len(SCALES)}  "
           f"flagged pairs: {flagged_total}")
-    return EXIT_OK
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace) -> None:
     lexicon = _load_lexicon(args.lexicon) if args.lexicon else load_default_lexicon()
     try:
         with _reading("synth spec", args.spec):
@@ -316,14 +313,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     years = sorted({r.delivery_year for r in records})
     print(f"wrote {len(records)} records over years {years[0]}-{years[-1]} "
           f"to {out_path}")
-    return EXIT_OK
 
 
-def cmd_stem(args: argparse.Namespace) -> int:
+def cmd_stem(args: argparse.Namespace) -> None:
     for word in args.words:
         for token in tokenize(word):
             print(f"{token}\t{porter_stem(token)}")
-    return EXIT_OK
 
 
 # each pipeline subcommand: its help, the config keys it takes as flags and
@@ -380,10 +375,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        args.func(args)
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, LexiconError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK

@@ -17,11 +17,12 @@ jsonl (one JSON object per line)::
 
   All four values must be JSON strings.
 
-In both formats a record id is non-empty, holds no tab or line break and
-encodes as UTF-8 (no lone surrogate), so it fits on one line of every output
-file. A rejection report carries the line's id only when it keeps that rule,
-and an empty id otherwise. Lines end at LF or CRLF, and a leading UTF-8
-byte-order mark is skipped.
+In both formats a record id is non-empty, holds no NUL, tab or line break,
+encodes as UTF-8 (no lone surrogate) and is at most 131,072 characters long,
+so it fits on one line of every output file and in one field that the csv
+module reads back. A rejection report carries the line's id only when it
+keeps that rule, and an empty id otherwise. Lines end at LF or CRLF, and a
+leading UTF-8 byte-order mark is skipped.
 
 Malformed lines never abort a parse; each produces a rejection report with
 its line number and a stable reason code.
@@ -87,8 +88,10 @@ _ESCAPE_TABLE = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\
 _ESCAPED = re.compile(r"\\(.)", re.DOTALL)
 _UNESCAPES = {"t": "\t", "n": "\n", "r": "\r"}
 _JSON_KEYS = ("id", "compose_date", "delivery_date", "body")
-# what a record id may not hold: a tab, a line break or a lone surrogate
-_BAD_ID = re.compile("[\t\r\n\ud800-\udfff]")
+# what a record id may not hold: a NUL, a tab, a line break or a lone surrogate
+_BAD_ID = re.compile("[\0\t\r\n\ud800-\udfff]")
+# the csv module's default field size limit, so scores.csv reads every id back
+_MAX_ID_CHARS = 131_072
 _ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
@@ -142,6 +145,10 @@ def _fields(line: str, fmt: str) -> tuple[str, str, str, str]:
     return obj["id"], obj["compose_date"], obj["delivery_date"], obj["body"]
 
 
+def _bad_id(rec_id: str) -> bool:
+    return len(rec_id) > _MAX_ID_CHARS or _BAD_ID.search(rec_id) is not None
+
+
 def _date(text: str) -> dt.date:
     """A stripped YYYY-MM-DD date; fromisoformat alone also takes the basic
     and week forms on Python 3.11+."""
@@ -159,9 +166,9 @@ def _parse_line(raw_line: bytes, fmt: str) -> EmailRecord:
     rec_id, compose, delivery, body = _fields(line, fmt)
     if not rec_id.strip():
         raise _Rejected("", REJECT_BAD_FIELDS, "empty record id")
-    if _BAD_ID.search(rec_id):
-        raise _Rejected("", REJECT_BAD_FIELDS,
-                        "record id contains a tab, a line break or a lone surrogate")
+    if _bad_id(rec_id):
+        raise _Rejected("", REJECT_BAD_FIELDS, "record id contains a NUL, a tab, a line "
+                        f"break or a lone surrogate, or is over {_MAX_ID_CHARS} characters")
     try:
         compose_date, delivery_date = _date(compose), _date(delivery)
     except ValueError as exc:
@@ -202,7 +209,7 @@ def parse_corpus(data: bytes | BinaryIO,
         except _Rejected as rej:
             rec_id, code, detail = rej.args
             rejections.append(RejectionReport(
-                line_no, "" if _BAD_ID.search(rec_id) else rec_id, code, detail))
+                line_no, "" if _bad_id(rec_id) else rec_id, code, detail))
     return records, rejections
 
 
@@ -257,8 +264,6 @@ def word_frequency(records: Iterable[EmailRecord], top_n: int) -> list[tuple[str
 
     Ties break toward ascending lexicographic order.
     """
-    if top_n <= 0:
-        return []
     stopwords = frozenset(load_word_list("stopwords"))
     counts: Counter[str] = Counter()
     for rec in records:

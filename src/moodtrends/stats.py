@@ -89,8 +89,6 @@ def _ks_key(a: _StepTable, b: _StepTable) -> tuple[int, int, int]:
 
 def _ks_result(d_num: int, n: int, m: int) -> KsResult:
     d = d_num / (n * m)
-    if d == 0.0:
-        return KsResult(0.0, 1.0, n, m)
     ne = n * m / (n + m)
     lam = (math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * d
     return KsResult(d, _kolmogorov_sf(lam), n, m)

@@ -18,10 +18,6 @@ CURVE_SAMPLES = 120
 _MARKS = {FLAG_SIGNIFICANT: "**", FLAG_MARGINAL: "*"}
 
 
-def _scale(value: float, lo: float, hi: float, out_lo: float, out_hi: float) -> float:
-    return out_lo + (value - lo) * (out_hi - out_lo) / (hi - lo)
-
-
 def render_trend_svg(trend: TrendSeries, matrix: SignificanceMatrix) -> str:
     """Render one dimension's trend chart as an SVG document string. The
     trend is one build_trend gives: at least three years, and z-scores that
@@ -48,10 +44,10 @@ def render_trend_svg(trend: TrendSeries, matrix: SignificanceMatrix) -> str:
     y_top, y_bottom = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
 
     def px(xi: float) -> float:
-        return _scale(xi, -center, center, x_left, x_right)
+        return x_left + (xi + center) * (x_right - x_left) / (center + center)
 
     def py(z: float) -> float:
-        return _scale(z, y_lo, y_hi, y_bottom, y_top)
+        return y_bottom + (z - y_lo) * (y_top - y_bottom) / (y_hi - y_lo)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -14,6 +14,7 @@ criterion 4 are enforced as hard assertions.
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 import statistics
@@ -22,13 +23,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import PORTER_DATA, make_record
+from conftest import PORTER_DATA, TESTS_DIR, make_record
 from ks_oracle import exact_perm_p, mc_perm_p, oracle_d
 from moodtrends import porter
 from moodtrends.cli import EXIT_OK, main
 from moodtrends.corpus import filter_english
 from moodtrends.lexicon import SCALES, MoodScale
-from moodtrends.scoring import match_counts, score_corpus, score_record
+from moodtrends.scoring import (ScoredRecord, bucket_scores, match_counts,
+                                score_corpus, score_record)
 from moodtrends.stats import (build_trend, ks_two_sample, pairwise_ks, polyfit2,
                               zscore_series)
 from moodtrends.synth import generate_corpus, make_trend_spec
@@ -424,3 +426,48 @@ def test_c8_determinism(tmp_path):
            f"({len(names)} output files byte-identical across two runs"
            f"{'' if not diffs else '; differing: ' + ', '.join(diffs)})")
     assert diffs == []
+
+
+# --------------------------------------------------------------------------
+# 9. paper-scale pipeline on committed paper-shaped and null specs
+
+LEXICON = TESTS_DIR.parent / "src" / "moodtrends" / "data" / "default_lexicon.txt"
+
+
+def test_c9_paper_scale_pipeline(tmp_path):
+    t0 = time.perf_counter()
+    codes, ks_rows, ks_seconds = [], {}, {}
+    for name in ("paper_scale", "paper_null"):
+        corpus, score_out, an_out = (tmp_path / f"{name}.tsv", tmp_path / name / "score",
+                                     tmp_path / name / "analyze")
+        codes += [
+            main(["synth", "--spec", str(TESTS_DIR / "data" / f"{name}.spec"),
+                  "--out", str(corpus)]),
+            main(["score", "--corpus", str(corpus), "--lexicon", str(LEXICON),
+                  "--output-dir", str(score_out)]),
+            main(["analyze", "--scores", str(score_out / "scores.csv"),
+                  "--output-dir", str(an_out)])]
+        ks_rows[name] = [len((an_out / f"ks_{s.value}.csv").read_text().splitlines()) - 1
+                         for s in SCALES]
+        with open(score_out / "scores.csv", encoding="utf-8", newline="") as fh:
+            buckets = bucket_scores(
+                ScoredRecord(r["id"], int(r["delivery_year"]),
+                             tuple(float(r[s.value]) for s in SCALES), int(r["match_count"]))
+                for r in csv.DictReader(fh))
+        t1 = time.perf_counter()
+        for dim in SCALES:
+            pairwise_ks(buckets, dim)
+        ks_seconds[name] = time.perf_counter() - t1
+    wall = time.perf_counter() - t0
+
+    rows_ok = all(rows == [465] * len(SCALES) for rows in ks_rows.values())
+    ks_ok = all(t < 60.0 for t in ks_seconds.values())
+    ok = codes == [EXIT_OK] * 6 and rows_ok and ks_ok
+    report(f"9 paper-scale-pipeline: {'PASS' if ok else 'FAIL'} "
+           f"(synth -> score -> analyze --scores on paper_scale and paper_null "
+           f"exit {codes}; 465 rows in every ks_*.csv: {rows_ok}; KS x 6 dims "
+           + ", ".join(f"{n} {t:.2f}s" for n, t in ks_seconds.items())
+           + f" < 60s; wall {wall:.1f}s)")
+    assert codes == [EXIT_OK] * 6
+    assert rows_ok, ks_rows
+    assert ks_ok, ks_seconds

@@ -285,6 +285,24 @@ class TestAnalyzeCommand:
         rejections = (score_out / "rejections.txt").read_text().splitlines()
         assert rejections[0].split("\t")[:3] == ["1", "", "malformed-record"]
 
+    def test_ids_scores_csv_cannot_carry_rejected(self, tmp_path, step_corpus):
+        # a NUL id stops Python 3.10's csv writer, and an id over the csv
+        # module's 131,072-character field limit cannot be read back
+        lines = step_corpus.read_text().splitlines()
+        for i, new_id in ((0, "a\0b"), (40, "x" * 131_073)):
+            lines[i] = new_id + lines[i][lines[i].index("\t"):]
+        corpus = tmp_path / "ids.tsv"
+        corpus.write_text("\n".join(lines) + "\n")
+        score_out = tmp_path / "score"
+        assert main(["score", "--corpus", str(corpus), "--lexicon", str(LEXICON),
+                     "--output-dir", str(score_out)]) == EXIT_OK
+        assert main(["analyze", "--scores", str(score_out / "scores.csv"),
+                     "--output-dir", str(tmp_path / "an")]) == EXIT_OK
+        rejections = [line.split("\t")[:3] for line in
+                      (score_out / "rejections.txt").read_text().splitlines()]
+        assert [r for r in rejections if r[2] == "malformed-record"] == [
+            ["1", "", "malformed-record"], ["41", "", "malformed-record"]]
+
     def test_malformed_scores_row_exits_2(self, tmp_path, step_corpus, capsys):
         score_out = tmp_path / "score"
         assert main(["score", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
@@ -685,7 +703,8 @@ class TestOutputWriter:
         assert blocker.read_text() == "keep me\n"
 
 
-# record ids the corpus accepts: non-blank, no tab, line break or lone surrogate
+# record ids: non-blank, no tab, line break or lone surrogate; a NUL id,
+# which the corpus rejects, is drawn too, and both runs must reject it alike
 _IDS = st.text(st.characters(blacklist_categories=("Cs",),
                              blacklist_characters="\t\r\n"),
                min_size=1, max_size=12).filter(str.strip)

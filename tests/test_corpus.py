@@ -30,25 +30,32 @@ JSONL_TEMPLATE = ('{"id": "ID", "compose_date": "2006-05-05", '
 
 BOM = "\ufeff".encode()
 
+# the longest record id, the csv module's default field size limit
+LONGEST_ID = "x" * 131_072
+
 # well-formed and near-miss lines mixed into the arbitrary-bytes property
 LINE_SEEDS = [
     tsv_line().encode(), tsv_line(body="a\\b\\").encode(), b"\r", b"  \t ",
     tsv_line(rec_id="a\rb").encode(), tsv_line(compose="2020-01-01").encode(),
     JSONL_TEMPLATE.encode(), JSONL_TEMPLATE.replace('"ID"', "null").encode(),
     b"[" * 2000, b"\xff\xfe",
-    # rejected lines whose id breaks the id rule: a CR, a tab, a surrogate
+    # rejected lines whose id breaks the id rule: a CR, a tab, a surrogate,
+    # a NUL, one character too many
     b"a\rb\tx", b'{"id": "a\\tb"}', b'{"id": "a\\ud800", "body": 1}',
     JSONL_TEMPLATE.replace('"ID"', '"a\\ud800"').encode(),
+    tsv_line(rec_id="a\0b").encode(), b'{"id": "a\\u0000b"}',
+    tsv_line(rec_id=LONGEST_ID + "x").encode(),
 ]
 
 
 def id_rule_holds(rec_id: str) -> bool:
-    """No tab or line break, and encodable as UTF-8."""
+    """No NUL, tab or line break, encodable as UTF-8, and at most
+    131,072 characters."""
     try:
         rec_id.encode("utf-8")
     except UnicodeEncodeError:
         return False
-    return not set(rec_id) & set("\t\r\n")
+    return not set(rec_id) & set("\0\t\r\n") and len(rec_id) <= len(LONGEST_ID)
 
 
 class TestParseCorpus:
@@ -157,12 +164,25 @@ class TestParseCorpus:
         ("jsonl", JSONL_TEMPLATE.replace('"ID"', '"ok"').replace('"BODY"', "null")),
         ("jsonl", JSONL_TEMPLATE.replace('"ID"', '"a\\ud800"')),
         ("tsv", tsv_line(rec_id="a\rb")),
+        ("jsonl", JSONL_TEMPLATE.replace('"ID"', '"a\\u0000b"')),
+        ("tsv", tsv_line(rec_id="a\0b")),
+        ("jsonl", JSONL_TEMPLATE.replace("ID", LONGEST_ID + "x")),
+        ("tsv", tsv_line(rec_id=LONGEST_ID + "x")),
     ], ids=["null-id", "int-id", "empty-id", "cr-id", "null-body", "surrogate-id",
-            "tsv-cr-id"])
+            "tsv-cr-id", "nul-id", "tsv-nul-id", "long-id", "tsv-long-id"])
     def test_bad_id_or_non_string_field_rejected(self, fmt, line):
         records, rejections = parse_corpus(line.encode(), fmt=fmt)
         assert records == []
         assert [(r.line_no, r.code) for r in rejections] == [(1, REJECT_BAD_FIELDS)]
+        assert id_rule_holds(rejections[0].record_id)
+
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    def test_longest_id_kept(self, fmt):
+        line = (tsv_line(rec_id=LONGEST_ID) if fmt == "tsv" else
+                JSONL_TEMPLATE.replace("ID", LONGEST_ID))
+        records, rejections = parse_corpus(line.encode(), fmt=fmt)
+        assert rejections == []
+        assert [r.id for r in records] == [LONGEST_ID]
 
     @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
     @pytest.mark.parametrize("field", ["compose", "delivery"])
