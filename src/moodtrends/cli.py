@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import os
 import sys
@@ -134,8 +135,7 @@ def _score_chain(cfg: PipelineConfig):
 
 def _buckets_json(buckets: dict[int, YearBucket]) -> dict:
     out = {}
-    for year in sorted(buckets):
-        b = buckets[year]
+    for year, b in buckets.items():
         mean = b.mean_vector()
         out[str(year)] = {
             "year": year,
@@ -208,17 +208,15 @@ def cmd_score(args: argparse.Namespace) -> None:
 
 
 def _read_scores_csv(path) -> list[ScoredRecord]:
-    with _reading("scores", path), open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-            if header != SCORES_HEADER:
-                raise DataError(f"unexpected scores.csv header: {','.join(header)!r}")
-            return [_scores_row(row) for row in reader if row]
-        except UnicodeDecodeError:  # an unreadable file, left to the guard
-            raise
-        except (csv.Error, ValueError) as exc:
-            raise DataError(f"bad scores.csv line {reader.line_num}: {exc}") from None
+    with _reading("scores", path):
+        reader = csv.reader(io.StringIO(Path(path).read_bytes().decode("utf-8-sig"), newline=""))
+    try:
+        header = next(reader, [])
+        if header != SCORES_HEADER:
+            raise DataError(f"unexpected scores.csv header: {','.join(header)!r}")
+        return [_scores_row(row) for row in reader if row]
+    except (csv.Error, ValueError) as exc:
+        raise DataError(f"bad scores.csv line {reader.line_num}: {exc}") from None
 
 
 def _scores_row(row: list[str]) -> ScoredRecord:
@@ -302,10 +300,7 @@ def cmd_synth(args: argparse.Namespace) -> None:
     try:
         with _reading("synth spec", args.spec):
             pairs = parse_kv_file(args.spec)
-        parsed = synth.parse_synth_spec(pairs)
-        if args.seed is not None:
-            parsed["seed"] = args.seed
-        records = synth.generate_corpus(lexicon=lexicon, **parsed)
+        records = synth.generate_corpus(lexicon=lexicon, **synth.parse_synth_spec(pairs))
     except ValueError as exc:
         raise DataError(f"bad synth spec: {exc}") from exc
     out_path = Path(args.out)
@@ -358,7 +353,6 @@ def build_parser() -> _Parser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
     p_synth.add_argument("--spec", required=True, help="synth spec file")
-    p_synth.add_argument("--seed", type=int, default=None)
     p_synth.add_argument("--lexicon", default=None,
                          help="lexicon file (default: built-in lexicon)")
     p_synth.add_argument("--out", required=True, help="output corpus path")

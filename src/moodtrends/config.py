@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .corpus import DEFAULT_ENGLISH_THRESHOLD
+from .corpus import DEFAULT_ENGLISH_THRESHOLD, FORMATS
 
 ALPHA_SIGNIFICANT = 0.05
 ALPHA_MARGINAL = 0.10
@@ -40,8 +40,9 @@ class PipelineConfig:
             raise ConfigError("year_min and year_max must be set together")
         if self.year_min is not None and self.year_min > self.year_max:
             raise ConfigError(f"year_min {self.year_min} > year_max {self.year_max}")
-        if self.corpus_format not in ("tsv", "jsonl"):
-            raise ConfigError(f"corpus_format must be tsv or jsonl, got {self.corpus_format!r}")
+        if self.corpus_format not in FORMATS:
+            raise ConfigError(f"corpus_format must be {' or '.join(FORMATS)}, "
+                              f"got {self.corpus_format!r}")
         if not (0.0 <= self.english_threshold <= 1.0):
             raise ConfigError(f"english_threshold must be in [0, 1], got {self.english_threshold}")
         if self.top_n < 0:

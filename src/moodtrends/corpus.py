@@ -42,6 +42,7 @@ from typing import BinaryIO, Iterable
 
 from .textproc import tokenize
 
+FORMATS = ("tsv", "jsonl")  # the record file formats above, by name
 DEFAULT_ENGLISH_THRESHOLD = 0.15
 MIN_TOKENS_TO_JUDGE = 5
 
@@ -190,7 +191,7 @@ def parse_corpus(data: bytes | BinaryIO,
     lines are rejected with the unknown-character-encoding code; the parse
     itself never raises on malformed content.
     """
-    if fmt not in ("tsv", "jsonl"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown corpus format {fmt!r}")
     if isinstance(data, io.TextIOBase):
         raise TypeError("parse_corpus expects bytes or a binary stream; "

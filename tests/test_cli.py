@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import make_record, run_python
 from moodtrends.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from moodtrends.corpus import format_record_line, parse_corpus_file
+from moodtrends.corpus import FORMATS, format_record_line, parse_corpus, parse_corpus_file
 from moodtrends.lexicon import load_default_lexicon
 
 STEP_SPEC = """\
@@ -51,12 +51,17 @@ class TestSynthCommand:
         assert main(["synth", "--spec", str(spec), "--out", str(again)]) == EXIT_OK
         assert again.read_bytes() == step_corpus.read_bytes()
 
-    def test_seed_flag_overrides_spec(self, tmp_path, step_corpus):
+    def test_spec_seed_line_alone_seeds(self, tmp_path, capsys, step_corpus):
+        spec = tmp_path / "seed7.spec"
+        spec.write_text(STEP_SPEC.replace("seed = 42", "seed = 7"))
         other = tmp_path / "other.tsv"
-        spec = tmp_path / "step.spec"
-        assert main(["synth", "--spec", str(spec), "--seed", "7",
-                     "--out", str(other)]) == EXIT_OK
+        assert main(["synth", "--spec", str(spec), "--out", str(other)]) == EXIT_OK
         assert other.read_bytes() != step_corpus.read_bytes()
+        capsys.readouterr()
+        assert main(["synth", "--spec", str(spec), "--seed", "7",
+                     "--out", str(tmp_path / "flag.tsv")]) == EXIT_USAGE
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert errors == ["error: unrecognized arguments: --seed 7"]
 
     def test_record_count(self, step_corpus):
         assert sum(1 for _ in open(step_corpus)) == 300
@@ -905,6 +910,19 @@ def test_nul_in_corpus_path_rejected():
     from moodtrends.config import ConfigError, PipelineConfig
     with pytest.raises(ConfigError, match="^corpus_path contains a NUL byte$"):
         PipelineConfig(corpus_path="a\0b").validate()
+
+
+@pytest.mark.parametrize("fmt", [*FORMATS, "csv"])
+def test_config_and_parser_share_formats(fmt):
+    from moodtrends.config import ConfigError, PipelineConfig
+    if fmt in FORMATS:
+        PipelineConfig(corpus_format=fmt).validate()
+        assert parse_corpus(b"", fmt=fmt) == ([], [])
+        return
+    with pytest.raises(ConfigError, match="^corpus_format must be tsv or jsonl, got 'csv'$"):
+        PipelineConfig(corpus_format=fmt).validate()
+    with pytest.raises(ValueError, match="^unknown corpus format 'csv'$"):
+        parse_corpus(b"", fmt=fmt)
 
 
 @pytest.mark.parametrize("argv,code,message", [

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -60,3 +61,15 @@ def test_score_and_analyze_traced(tmp_path, corpus):
     for counter in ("corpus.filter_kept", "scoring.docs"):
         assert score["counts"].get(counter, 0) > 0, counter
     assert analyze["counts"].get("stats.ks_tests", 0) > 0
+
+
+def test_every_target_span_emitted(tmp_path, corpus):
+    # instrument() skips a TARGETS function it cannot find and run.py reads a
+    # missing span as 0 ms, so each span name must show up in some command
+    targets = runpy.run_path(str(TRACED_CLI))["TARGETS"]
+    inputs = ["--corpus", str(corpus), "--lexicon", str(LEXICON)]
+    runs = [traced(tmp_path / "stats", "stats", "--corpus", str(corpus)),
+            traced(tmp_path / "score", "score", *inputs),
+            traced(tmp_path / "analyze", "analyze", *inputs, "--emit-svg")]
+    spans = {span[0] for run in runs for span in run["spans"]}
+    assert {target[2] for target in targets} - spans == set()
