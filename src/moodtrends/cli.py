@@ -94,8 +94,8 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = PipelineConfig()
     if args.config:
         with _reading("config", args.config, ConfigError):
-            apply_overrides(cfg, parse_kv_file(args.config))
-    apply_overrides(cfg, {k: v for k, v in vars(args).items() if k in KEY_TYPES})
+            cfg = apply_overrides(cfg, parse_kv_file(args.config))
+    cfg = apply_overrides(cfg, {k: v for k, v in vars(args).items() if k in KEY_TYPES})
     cfg.validate()
     return cfg
 

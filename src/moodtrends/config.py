@@ -3,9 +3,8 @@ by the CLI flag of the same name."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 from .corpus import DEFAULT_ENGLISH_THRESHOLD, FORMATS
 
@@ -17,8 +16,7 @@ class ConfigError(ValueError):
     """Bad configuration file or inconsistent settings."""
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     corpus_path: str | None = None
     corpus_format: str = "tsv"
     lexicon_path: str | None = None
@@ -96,17 +94,19 @@ def _value_type(hint) -> type:
     return args[0] if args else hint
 
 
-_HINTS = get_type_hints(PipelineConfig)
 # every config key (and CLI override) with its value type, in field order
-KEY_TYPES: dict[str, type] = {f.name: _value_type(_HINTS[f.name])
-                              for f in fields(PipelineConfig)}
+KEY_TYPES: dict[str, type] = {key: _value_type(hint)
+                              for key, hint in get_type_hints(PipelineConfig).items()}
 
 
 def apply_overrides(cfg: PipelineConfig, pairs: dict[str, str | None]) -> PipelineConfig:
+    """A copy of cfg with each key of pairs set to its value coerced to the
+    key's type; a None value is skipped and cfg itself is left unchanged."""
+    changes = {}
     for key, value in pairs.items():
         if value is None:
             continue
         if key not in KEY_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, _coerce(key, value, KEY_TYPES[key]))
-    return cfg
+        changes[key] = _coerce(key, value, KEY_TYPES[key])
+    return cfg._replace(**changes)

@@ -34,11 +34,10 @@ import datetime as dt
 import heapq
 import io
 import json
+import pkgutil
 import re
 from collections import Counter
-from dataclasses import dataclass
-from importlib import resources
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterable, NamedTuple
 
 from .textproc import tokenize
 
@@ -53,8 +52,7 @@ REJECT_BAD_JSON = "invalid-json"
 REJECT_ORDER = "delivery-precedes-compose"
 
 
-@dataclass(frozen=True)
-class EmailRecord:
+class EmailRecord(NamedTuple):
     """One document: when it was written, when it is due, and its text."""
 
     id: str
@@ -77,8 +75,7 @@ def _decimal_year(d: dt.date) -> float:
     return d.year + (d.toordinal() - start.toordinal()) / days
 
 
-@dataclass(frozen=True)
-class RejectionReport:
+class RejectionReport(NamedTuple):
     line_no: int
     record_id: str
     code: str
@@ -222,12 +219,11 @@ def parse_corpus_file(path, fmt: str = "tsv"):
 def load_word_list(name: str) -> list[str]:
     """Words of the bundled ``data/<name>.txt`` in file order, one per line;
     blank lines and ``#`` comment lines are skipped."""
-    text = resources.files("moodtrends.data").joinpath(f"{name}.txt").read_text("utf-8")
+    text = pkgutil.get_data("moodtrends", f"data/{name}.txt").decode("utf-8")
     return [w.strip() for w in text.splitlines() if w.strip() and not w.startswith("#")]
 
 
-@dataclass
-class FilterResult:
+class FilterResult(NamedTuple):
     kept: list[EmailRecord]
     rejected: list[EmailRecord]
     flagged_short: list[str]

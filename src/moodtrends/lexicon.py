@@ -13,10 +13,9 @@ The third field is optional. Scales are the six fixed mood dimensions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from importlib import resources
+import pkgutil
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .textproc import porter_stem, tokenize
 
@@ -45,21 +44,18 @@ class LexiconError(ValueError):
     """Raised when a lexicon file violates the format or its invariants."""
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     main_term: str
     scale: MoodScale
     extended: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class MoodLexicon:
+class MoodLexicon(NamedTuple):
     entries: tuple[LexiconEntry, ...]
     version: str = "unversioned"
 
 
-@dataclass(frozen=True)
-class CompileWarning:
+class CompileWarning(NamedTuple):
     """A stem-sequence collision resolved at compile time."""
 
     term: str
@@ -147,12 +143,11 @@ def load_lexicon_file(path: str | Path) -> MoodLexicon:
 
 def load_default_lexicon() -> MoodLexicon:
     """The lexicon shipped with the package (a non-proprietary stand-in)."""
-    text = resources.files("moodtrends.data").joinpath("default_lexicon.txt").read_text("utf-8")
+    text = pkgutil.get_data("moodtrends", "data/default_lexicon.txt").decode("utf-8")
     return load_lexicon(text.splitlines())
 
 
-@dataclass
-class CompiledMatcher:
+class CompiledMatcher(NamedTuple):
     """Stem sequences mapped to main-term indices, ready for scanning.
 
     ``scale_index[i]`` is the vector position of main term i's scale.
@@ -169,7 +164,7 @@ class CompiledMatcher:
     phrase_heads: frozenset[str]
     starts: frozenset[str]
     max_phrase_len: int
-    warnings: list[CompileWarning] = field(default_factory=list)
+    warnings: list[CompileWarning]
 
 
 def compile_lexicon(lex: MoodLexicon) -> CompiledMatcher:

@@ -5,11 +5,10 @@ vectors as one tuple of six-float tuples per year."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import add, itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import EmailRecord
 from .lexicon import SCALE_INDEX, SCALES, CompiledMatcher, MoodScale
@@ -54,8 +53,7 @@ def match_counts(stems: Sequence[str], matcher: CompiledMatcher) -> list[int]:
     return counts
 
 
-@dataclass(frozen=True)
-class ScoredRecord:
+class ScoredRecord(NamedTuple):
     """Audit row for one document: its unit mood vector in scale order, or
     all zeros when no lexicon term matched (match_count == 0)."""
 
@@ -79,18 +77,25 @@ def score_record(rec: EmailRecord, matcher: CompiledMatcher) -> ScoredRecord:
                         tuple(c / norm for c in components), sum(counts))
 
 
-@dataclass
 class YearBucket:
     """The unit vectors of one delivery year, each a tuple of six floats in
     scale order, plus the number of its documents with no lexicon hit."""
 
-    vectors: tuple[tuple[float, ...], ...] = ()
-    zero_match_count: int = 0
-
-    def __post_init__(self) -> None:
-        self.vectors = tuple(tuple(map(float, v)) for v in self.vectors)
+    def __init__(self, vectors: Iterable[Sequence[float]] = (),
+                 zero_match_count: int = 0) -> None:
+        self.vectors = tuple(tuple(map(float, v)) for v in vectors)
         if any(len(v) != len(SCALES) for v in self.vectors):
             raise ValueError(f"every vector needs {len(SCALES)} components")
+        self.zero_match_count = zero_match_count
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vectors, self.zero_match_count) == (other.vectors, other.zero_match_count)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(vectors={self.vectors!r}, "
+                f"zero_match_count={self.zero_match_count!r})")
 
     def components(self, scale: MoodScale) -> tuple[float, ...]:
         return tuple(map(itemgetter(SCALE_INDEX[scale]), self.vectors))

@@ -7,8 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .config import ALPHA_MARGINAL, ALPHA_SIGNIFICANT
 from .lexicon import SCALE_INDEX, MoodScale
@@ -20,8 +19,7 @@ FLAG_SIGNIFICANT = "significant"
 _StepTable = tuple[list[float], list[int]]
 
 
-@dataclass(frozen=True)
-class KsResult:
+class KsResult(NamedTuple):
     d_statistic: float
     p_value: float
     n: int
@@ -103,16 +101,17 @@ def classify_p(p: float, alpha_significant: float = ALPHA_SIGNIFICANT,
     return FLAG_NONE
 
 
-@dataclass
 class SignificanceMatrix:
     """Pairwise KS results for one mood dimension.
 
     cells and flags key every tested pair once, as (year_a, year_b) with
-    year_a < year_b, in ascending order.
+    year_a < year_b, in ascending order; each starts as a new empty dict.
     """
 
-    cells: dict[tuple[int, int], KsResult] = field(default_factory=dict)
-    flags: dict[tuple[int, int], str] = field(default_factory=dict)
+    def __init__(self, cells: dict[tuple[int, int], KsResult] | None = None,
+                 flags: dict[tuple[int, int], str] | None = None) -> None:
+        self.cells = {} if cells is None else cells
+        self.flags = {} if flags is None else flags
 
     def pairs(self) -> list[tuple[int, int]]:
         """The tested year pairs in order; perfbench counts them as stats.ks_tests."""
@@ -195,8 +194,7 @@ def polyfit2(xs: Sequence[float], ys: Sequence[float]) -> tuple[tuple[float, flo
     return coeffs, [b0 + b1 * v + b2 * w for v, w in zip(u, q)]
 
 
-@dataclass
-class TrendSeries:
+class TrendSeries(NamedTuple):
     """Yearly means of one dimension, z-scored, with a global quadratic fit
     over centered year indices."""
 

@@ -4,8 +4,6 @@ with * (marginal) or ** (significant)."""
 
 from __future__ import annotations
 
-from html import escape
-
 from .stats import FLAG_MARGINAL, FLAG_SIGNIFICANT, SignificanceMatrix, TrendSeries
 
 WIDTH = 640
@@ -96,8 +94,9 @@ def render_trend_svg(trend: TrendSeries, matrix: SignificanceMatrix) -> str:
         text = "flagged pairs: " + "  ".join(shown)
     else:
         text = "flagged pairs: none"
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")  # & first
     parts.append(f'<text x="{x_left}" y="{HEIGHT - 12}" font-family="sans-serif" '
-                 f'font-size="11" fill="#333333">{escape(text, quote=False)}</text>')
+                 f'font-size="11" fill="#333333">{text}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts)

@@ -11,16 +11,14 @@ from __future__ import annotations
 import datetime as dt
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .corpus import EmailRecord, load_word_list
 from .lexicon import MoodLexicon, MoodScale
 from .textproc import porter_stem, tokenize
 
 
-@dataclass(frozen=True)
-class TrendSpec:
+class TrendSpec(NamedTuple):
     """Planted intensity profile for one scale over the year index."""
 
     dimension: MoodScale

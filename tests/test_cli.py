@@ -512,6 +512,15 @@ class TestModuleEntryPoint:
                                "m for m in sys.modules if m.startswith('xml.sax')))")
         assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
+    def test_cli_import_skips_dataclasses_inspect_html(self):
+        # only what the import adds counts: site hooks may load some of these;
+        # importlib.resources imports inspect on Python 3.12 and later
+        proc = run_python("-c", "import sys; before = set(sys.modules)\n"
+                                "import moodtrends.cli\n"
+                                "print(sorted({'dataclasses', 'inspect', 'html',"
+                                " 'importlib.resources'} & (set(sys.modules) - before)))")
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
 
 class TestSvgRendering:
     def test_degenerate_flat_trend_renders(self):
