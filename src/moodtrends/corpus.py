@@ -197,11 +197,11 @@ def parse_corpus(data: bytes | BinaryIO,
     records: list[EmailRecord] = []
     rejections: list[RejectionReport] = []
     for line_no, raw_line in enumerate(stream, 1):
+        if line_no == 1:
+            raw_line = raw_line.removeprefix(b"\xef\xbb\xbf")
         if not raw_line.strip():
             continue
         raw_line = raw_line.removesuffix(b"\n").removesuffix(b"\r")
-        if line_no == 1:
-            raw_line = raw_line.removeprefix(b"\xef\xbb\xbf")
         try:
             records.append(_parse_line(raw_line, fmt))
         except _Rejected as rej:

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import enum
 import pkgutil
+import string
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
+from .porter import stem_prefix
 from .textproc import porter_stem, tokenize
 
 MAX_PHRASE_WORDS = 4
@@ -147,6 +149,42 @@ def load_default_lexicon() -> MoodLexicon:
     return load_lexicon(text.splitlines())
 
 
+def lexicon_stems(lex: MoodLexicon) -> frozenset[str]:
+    """The stem of every word of every main term and extended phrase."""
+    return frozenset(porter_stem(w) for e in lex.entries
+                     for phrase in (e.main_term, *e.extended) for w in tokenize(phrase))
+
+
+class StemMemo(dict):
+    """Token -> its stem if that is one of ``stems``, else ``""``; filled on
+    first lookup.
+
+    Only a token whose apostrophe-free form begins with the stem_prefix of
+    some stem is stemmed at all: by the lemma in :mod:`moodtrends.porter` no
+    other token can stem to one of them.
+    """
+
+    def __init__(self, stems: frozenset[str]) -> None:
+        super().__init__()
+        self.stems = stems
+        # the prefixes by initial letter, so a test is one C-level startswith
+        # over a few of them; an empty prefix (of stem e, i or l) begins any word
+        self._prefixes: dict[str, tuple[str, ...]] = {}
+        for prefix in sorted(map(stem_prefix, stems)):
+            for initial in prefix[:1] or string.ascii_lowercase:
+                self._prefixes[initial] = self._prefixes.get(initial, ()) + (prefix,)
+
+    def __missing__(self, token: str) -> str:
+        word = token.replace("'", "")
+        stem = ""
+        if word.startswith(self._prefixes.get(word[:1], ())):
+            stem = porter_stem(token)
+            if stem not in self.stems:
+                stem = ""
+        self[token] = stem
+        return stem
+
+
 class CompiledMatcher(NamedTuple):
     """Stem sequences mapped to main-term indices, ready for scanning.
 
@@ -155,6 +193,9 @@ class CompiledMatcher(NamedTuple):
     ``phrase_heads`` holds the first stem of every multi-stem sequence so the
     scorer can skip phrase lookups for most tokens; ``starts`` holds every
     stem that can begin a match, the only positions the scorer visits.
+    ``stem_memo`` maps each token the scorer has seen to its stem, or to
+    ``""`` when that is no stem of the lexicon; ``""`` is in no table, so it
+    matches nothing.
     """
 
     main_terms: tuple[str, ...]
@@ -165,6 +206,7 @@ class CompiledMatcher(NamedTuple):
     starts: frozenset[str]
     max_phrase_len: int
     warnings: list[CompileWarning]
+    stem_memo: StemMemo
 
 
 def compile_lexicon(lex: MoodLexicon) -> CompiledMatcher:
@@ -172,7 +214,8 @@ def compile_lexicon(lex: MoodLexicon) -> CompiledMatcher:
 
     A stem sequence claimed by two different main terms is kept for the
     earlier entry (file order) and reported in the warning list, never
-    dropped silently. Re-compiling the same lexicon yields identical tables.
+    dropped silently. Re-compiling the same lexicon yields identical tables
+    and an empty stem memo.
     """
     main_terms = tuple(e.main_term for e in lex.entries)
     singles: dict[str, int] = {}
@@ -197,4 +240,5 @@ def compile_lexicon(lex: MoodLexicon) -> CompiledMatcher:
         starts=heads.union(singles),
         max_phrase_len=max(map(len, phrases), default=1),
         warnings=warnings,
+        stem_memo=StemMemo(lexicon_stems(lex)),
     )

@@ -19,6 +19,15 @@ is built only for the stem that a matched suffix leaves.
 
 Input domain is lowercase ASCII letter strings; callers strip anything else
 first (see :mod:`moodtrends.textproc`).
+
+Porter only rewrites the end of a word: for every word w, ``stem(w)`` is
+``w[:j] + t`` for some j, with t one of ``""``, ``e``, ``i`` or ``l``. Step
+1a keeps a prefix; step 1b adds at most an ``e``; step 1c swaps a final
+``y`` for ``i``; step 2 adds at most an ``e``, except ``biliti -> ble``,
+whose ``le`` step 5 always cuts back to ``l``; steps 3, 4 and 5 only remove
+letters. So every word that stems to s begins with ``stem_prefix(s)``, and
+a word that begins with no lexicon stem's prefix cannot stem into the
+lexicon.
 """
 
 from __future__ import annotations
@@ -103,6 +112,12 @@ def _replace(b: str, table: dict, key: str, min_m: int) -> str:
             stem = b[:-len(suffix)]
             return stem + repl if _pattern(stem).count("vc") > min_m else b
     return b
+
+
+def stem_prefix(s: str) -> str:
+    """The prefix every word stemming to s begins with: s without a final
+    e, i or l, the letters a stem may add."""
+    return s[:-1] if s.endswith(("e", "i", "l")) else s
 
 
 def stem(word: str) -> str:

@@ -12,7 +12,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import EmailRecord
 from .lexicon import SCALE_INDEX, SCALES, CompiledMatcher, MoodScale
-from .textproc import porter_stem, tokenize
+from .textproc import tokenize
 
 
 def plain_sum(values: Iterable[float]) -> float:
@@ -66,7 +66,8 @@ class ScoredRecord(NamedTuple):
 def score_record(rec: EmailRecord, matcher: CompiledMatcher) -> ScoredRecord:
     """Match the body, sum main-term counts per scale (the scoring key) and
     scale the result to unit Euclidean length."""
-    counts = match_counts(list(map(porter_stem, tokenize(rec.body))), matcher)
+    stems = list(map(matcher.stem_memo.__getitem__, tokenize(rec.body)))
+    counts = match_counts(stems, matcher)
     components = [0.0] * len(SCALES)
     for main_idx, c in enumerate(counts):
         if c:

@@ -14,7 +14,7 @@ import random
 from typing import Callable, NamedTuple, Sequence
 
 from .corpus import EmailRecord, load_word_list
-from .lexicon import MoodLexicon, MoodScale
+from .lexicon import MoodLexicon, MoodScale, lexicon_stems
 from .textproc import porter_stem, tokenize
 
 
@@ -143,7 +143,7 @@ def _scale_terms(lexicon: MoodLexicon) -> dict[MoodScale, list[str]]:
     return by_scale
 
 
-def _safe_fillers(used: set[str], fillers: Sequence[str]) -> list[str]:
+def _safe_fillers(used: frozenset[str], fillers: Sequence[str]) -> list[str]:
     # a filler is safe when none of its stems is a stem of any lexicon term
     # or phrase, so no phrase can span across it and no single ever matches it
     safe = [w for w in fillers
@@ -209,8 +209,7 @@ def generate_corpus(specs: Sequence[TrendSpec], years: Sequence[int],
         if spec.dimension in seen_dims:
             raise ValueError(f"duplicate trend spec for {spec.dimension}")
         seen_dims.add(spec.dimension)
-    used = {porter_stem(t) for terms in terms_by_scale.values()
-            for term in terms for t in tokenize(term)}
+    used = lexicon_stems(lexicon)
     nouns = _safe_fillers(used, load_word_list("filler_words"))
     function_fillers = _safe_fillers(used, _FUNCTION_FILLERS)
 

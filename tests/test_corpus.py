@@ -226,6 +226,16 @@ class TestParseCorpus:
             assert [(r.line_no, r.code) for r in rejections] == [
                 (1, REJECT_BAD_JSON), (2, REJECT_BAD_JSON)]
 
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_bom_before_blank_first_line_skipped(self, fmt, eol):
+        line = (tsv_line() if fmt == "tsv" else JSONL_TEMPLATE).encode()
+        for blank in (b"", b"  \t", b"\r"):
+            data = eol.join([blank, line, line])
+            assert parse_corpus(BOM + data, fmt=fmt) == parse_corpus(data, fmt=fmt)
+            assert len(parse_corpus(BOM + data, fmt=fmt)[0]) == 2
+        assert parse_corpus(BOM, fmt=fmt) == parse_corpus(BOM + eol, fmt=fmt) == ([], [])
+
     @pytest.mark.parametrize("bad", [b"[" * 100000, b'{"id": ' + b"1" * 5000 + b"}"],
                              ids=["deep-nesting", "huge-int"])
     def test_json_the_decoder_refuses_rejected(self, bad):
@@ -238,13 +248,14 @@ class TestParseCorpus:
                     max_size=8),
            st.sampled_from([b"\n", b"\r\n"]), st.sampled_from(["tsv", "jsonl"]))
     @settings(max_examples=300)
-    # a line holding only a byte-order mark is a rejection, on line 1 too
+    # a line holding only a byte-order mark is blank on line 1, where the
+    # mark is skipped, and a rejection on any later line
     @example([BOM, BOM + tsv_line().encode()], b"\n", "tsv")
     @example([BOM, JSONL_TEMPLATE.encode(), BOM], b"\r\n", "jsonl")
     def test_every_non_blank_line_accounted_for(self, lines, eol, fmt):
         data = eol.join(lines)
         records, rejections = parse_corpus(data, fmt=fmt)
-        non_blank = sum(1 for line in data.split(b"\n") if line.strip())
+        non_blank = sum(1 for line in data.removeprefix(BOM).split(b"\n") if line.strip())
         assert len(records) + len(rejections) == non_blank
         for rec in records:
             assert rec.id.strip() and id_rule_holds(rec.id)

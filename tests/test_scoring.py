@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import match_reference
-from conftest import make_record
-from moodtrends.lexicon import (SCALES, MoodScale, compile_lexicon,
+from conftest import PORTER_DATA, make_record
+from moodtrends.lexicon import (SCALES, MoodScale, StemMemo, compile_lexicon,
                                 load_default_lexicon, load_lexicon)
 from moodtrends.scoring import (ScoredRecord, YearBucket, bucket_scores,
                                 match_counts, score_corpus, score_record)
@@ -259,6 +261,100 @@ class TestScoreCorpus:
         assert scored.match_count == 2
         assert scored.components[SCALES.index(MoodScale.DEPRESSION)] == pytest.approx(
             1 / math.sqrt(2))
+
+
+# stems of one and two letters, and stems ending in the e, i or l that a
+# Porter step may add (edgi, heavi, ei, full, sunni, possibl)
+SHORT_STEMS = """\
+edgy | tension | go, on edge
+low | depression | a bit low, heavy eyed
+cross | anger | full of it
+sunny | vigor | up, possible
+eyed | fatigue | heavy eyed again
+lost | confusion | at sea
+"""
+MEMO_LEXICONS = (load_default_lexicon(), load_lexicon(SINGLES_ONLY.splitlines()),
+                 load_lexicon(NESTED.splitlines()), load_lexicon(SHORT_STEMS.splitlines()))
+VOCABULARY = (PORTER_DATA / "voc.txt").read_text().split()
+# every main term and phrase of the four lexicons, whole and word by word
+LEXICON_TEXT = sorted({t for lex in MEMO_LEXICONS for e in lex.entries
+                       for phrase in (e.main_term, *e.extended)
+                       for t in (phrase, *phrase.split())})
+APOSTROPHE_FORMS = ["'sad'", "o'n", "''", "eye's", "don't", "full'", "'possible",
+                    "wear'y", "go'ing"]
+
+
+class _PorterRoute(dict):
+    """A stem memo that stems every token: the scorer's route before the memo."""
+
+    def __missing__(self, token):
+        return porter_stem(token)
+
+
+def lexicon_stem_set(matcher) -> set[str]:
+    return set(matcher.singles).union(*matcher.phrases)
+
+
+class TestStemMemo:
+    """score_record stems through the matcher's memo, which stems only the
+    tokens that can reach the lexicon; the rows are those of stemming every
+    token."""
+
+    @given(st.lists(st.one_of(st.sampled_from(VOCABULARY), st.sampled_from(LEXICON_TEXT),
+                              st.sampled_from(APOSTROPHE_FORMS)), max_size=40),
+           st.sampled_from([" ", ", ", "\n", "-"]))
+    @example(["possibility", "heavy", "eyed", "going", "fully", "sunnier", "o'n"], " ")
+    @settings(max_examples=300)
+    def test_rows_equal_stemming_every_token(self, words, sep):
+        rec = make_record(sep.join(words))
+        for lex in MEMO_LEXICONS:
+            matcher = compile_lexicon(lex)
+            porter_route = matcher._replace(stem_memo=_PorterRoute())
+            assert score_record(rec, matcher) == score_record(rec, porter_route)
+            stems = lexicon_stem_set(matcher)
+            assert matcher.stem_memo.stems == stems and "" not in stems
+            assert set(matcher.stem_memo.values()) <= stems | {""}
+            assert set(matcher.stem_memo) == set(tokenize(rec.body))
+
+    def test_memo_keeps_only_lexicon_stems(self):
+        matcher = compile_lexicon(MEMO_LEXICONS[3])
+        rec = make_record("Possibility, heavy-eyed, going on edge, full fully the table's")
+        score_record(rec, matcher)
+        # fully passes the prefix test (ful) but stems to fulli, no lexicon stem
+        assert matcher.stem_memo == {
+            "possibility": "possibl", "heavy": "heavi", "eyed": "ei", "going": "go",
+            "on": "on", "edge": "edg", "full": "full", "fully": "", "the": "",
+            "table's": ""}
+        # the stem i has an empty prefix, which begins every word
+        memo = StemMemo(frozenset({"i"}))
+        assert [memo[w] for w in ("i", "is", "zebra")] == ["i", "", ""]
+
+    def test_used_matcher_differs_from_fresh_compile(self):
+        fresh = compile_lexicon(MEMO_LEXICONS[0])
+        used = compile_lexicon(MEMO_LEXICONS[0])
+        assert used == fresh
+        score_record(make_record("so angry today"), used)
+        assert used.stem_memo and used != fresh
+
+    def test_threads_sharing_one_matcher_score_like_serial(self):
+        rng = random.Random(7)
+        words = VOCABULARY + LEXICON_TEXT + APOSTROPHE_FORMS
+        records = [make_record(" ".join(rng.choices(words, k=60)), rec_id=f"r{i}",
+                               delivery=f"{2010 + i % 5}-01-01") for i in range(800)]
+        serial = [score_record(rec, compile_lexicon(MEMO_LEXICONS[3])) for rec in records]
+        shared = compile_lexicon(MEMO_LEXICONS[3])
+        chunks = [records[i:i + 100] for i in range(0, len(records), 100)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(lambda c: [score_record(r, shared) for r in c], c)
+                           for c in chunks]
+                rows = [row for f in futures for row in f.result(timeout=120)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert rows == serial
+        assert set(shared.stem_memo.values()) <= lexicon_stem_set(shared) | {""}
 
 
 class TestYearBucket:

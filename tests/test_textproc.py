@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import os
 import re
 import string
 import time
@@ -149,6 +151,53 @@ class TestPorterStem:
         # tests/porter_reference.py is the character-by-character port of the
         # C reference that the consonant/vowel-pattern stemmer replaced
         assert porter.stem(word) == porter_reference.stem(word)
+
+
+def assert_prefix_lemma(word: str) -> None:
+    """stem(word) is a prefix of word plus at most one added e, i or l, so
+    word begins with stem_prefix of its stem."""
+    s = porter.stem(word)
+    assert word.startswith(porter.stem_prefix(s)), (word, s)
+    assert s[len(os.path.commonprefix([word, s])):] in ("", "e", "i", "l"), (word, s)
+
+
+# every suffix a Porter step tests for, and the -y forms of those ending in
+# -i that step 1c makes, for stacking onto short stems
+PORTER_SUFFIXES = sorted(
+    {suffix for table in (porter._STEP2, porter._STEP3, porter._STEP4)
+     for group in table.values() for suffix, _ in group}
+    | {suffix[:-1] + "y" for table in (porter._STEP2, porter._STEP3)
+       for group in table.values() for suffix, _ in group if suffix.endswith("i")}
+    | {"s", "es", "ies", "sses", "ed", "eed", "ing", "y", "e", "ly", "ity", "ll",
+       "at", "bl", "iz"})
+
+
+class TestStemPrefixLemma:
+    """The lemma in moodtrends.porter that the scorer's stem memo relies on:
+    no word stems to s unless it begins with stem_prefix(s)."""
+
+    def test_reference_vocabulary(self):
+        from conftest import PORTER_DATA
+        for word in (PORTER_DATA / "voc.txt").read_text().split():
+            assert_prefix_lemma(word)
+
+    def test_every_word_of_up_to_four_letters(self):
+        letters = string.ascii_lowercase
+        for size in range(1, 5):
+            for chars in itertools.product(letters, repeat=size):
+                assert_prefix_lemma("".join(chars))
+
+    @given(st.text(alphabet=string.ascii_lowercase, max_size=6),
+           st.lists(st.sampled_from(PORTER_SUFFIXES), min_size=1, max_size=4))
+    # possibility -> possibl: the added le of biliti -> ble is cut back to l
+    @example("possib", ["ility"])
+    @example("ey", ["ed"])
+    @example("go", ["ing"])
+    @settings(max_examples=3000, derandomize=True)
+    def test_stacked_suffixes(self, base, suffixes):
+        word = base + "".join(suffixes)
+        if word:
+            assert_prefix_lemma(word)
 
 
 class TestPorterWrapper:
