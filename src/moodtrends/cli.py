@@ -127,9 +127,16 @@ def _score_chain(cfg: PipelineConfig):
     the language filter result and the scored kept records in the year window."""
     records, rejections = _load_records(cfg)
     matcher = _load_matcher(cfg)
-    filtered = corpus_mod.filter_english(records, threshold=cfg.english_threshold)
-    rows = [scoring.score_record(rec, matcher) for rec in filtered.kept
-            if cfg.in_range(rec.delivery_year)]
+    rows: list[ScoredRecord] = []
+
+    # each kept body is tokenized once, by the filter, and scored from its
+    # tokens right away, so only one document's tokens are held at a time
+    def score_kept(rec, tokens) -> None:
+        if cfg.in_range(rec.delivery_year):
+            rows.append(scoring.score_record(rec, matcher, tokens))
+
+    filtered = corpus_mod.filter_english(records, threshold=cfg.english_threshold,
+                                         on_kept=score_kept)
     return records, rejections, filtered, rows
 
 

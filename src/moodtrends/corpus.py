@@ -37,7 +37,7 @@ import json
 import pkgutil
 import re
 from collections import Counter
-from typing import BinaryIO, Iterable, NamedTuple
+from typing import BinaryIO, Callable, Iterable, NamedTuple
 
 from .textproc import tokenize
 
@@ -230,13 +230,19 @@ class FilterResult(NamedTuple):
 
 
 def filter_english(records: Iterable[EmailRecord],
-                   threshold: float = DEFAULT_ENGLISH_THRESHOLD) -> FilterResult:
+                   threshold: float = DEFAULT_ENGLISH_THRESHOLD,
+                   on_kept: Callable[[EmailRecord, list[str]], object] | None = None
+                   ) -> FilterResult:
     """Partition records by function-word ratio.
 
     A record is kept when (function-word tokens / total tokens) >= threshold,
     counting the bundled ``data/function_words.txt`` list.
     Records with fewer than five tokens are too short to judge; they are kept
     and their ids flagged. kept + rejected is always the full input.
+    on_kept, when given, is called as ``on_kept(rec, tokens)`` for each kept
+    record in input order, right after it is judged, with the
+    ``tokenize(rec.body)`` list it was judged by, so a caller can reuse the
+    tokens instead of tokenizing the body again.
     """
     function_words = frozenset(load_word_list("function_words"))
     kept: list[EmailRecord] = []
@@ -244,13 +250,13 @@ def filter_english(records: Iterable[EmailRecord],
     flagged: list[str] = []
     for rec in records:
         tokens = tokenize(rec.body)
-        if len(tokens) < MIN_TOKENS_TO_JUDGE:
+        short = len(tokens) < MIN_TOKENS_TO_JUDGE
+        if short or sum(map(function_words.__contains__, tokens)) / len(tokens) >= threshold:
             kept.append(rec)
-            flagged.append(rec.id)
-            continue
-        hits = sum(map(function_words.__contains__, tokens))
-        if hits / len(tokens) >= threshold:
-            kept.append(rec)
+            if short:
+                flagged.append(rec.id)
+            if on_kept is not None:
+                on_kept(rec, tokens)
         else:
             rejected.append(rec)
     return FilterResult(kept=kept, rejected=rejected, flagged_short=flagged)

@@ -63,10 +63,17 @@ class ScoredRecord(NamedTuple):
     match_count: int
 
 
-def score_record(rec: EmailRecord, matcher: CompiledMatcher) -> ScoredRecord:
+def score_record(rec: EmailRecord, matcher: CompiledMatcher,
+                 tokens: Sequence[str] | None = None) -> ScoredRecord:
     """Match the body, sum main-term counts per scale (the scoring key) and
-    scale the result to unit Euclidean length."""
-    stems = list(map(matcher.stem_memo.__getitem__, tokenize(rec.body)))
+    scale the result to unit Euclidean length.
+
+    tokens, when given, must equal ``tokenize(rec.body)``; that is not
+    checked, so a caller that already tokenized the body (as the language
+    filter does) passes its list instead of paying for a second pass."""
+    if tokens is None:
+        tokens = tokenize(rec.body)
+    stems = list(map(matcher.stem_memo.__getitem__, tokens))
     counts = match_counts(stems, matcher)
     components = [0.0] * len(SCALES)
     for main_idx, c in enumerate(counts):

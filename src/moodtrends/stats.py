@@ -10,7 +10,7 @@ from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .config import ALPHA_MARGINAL, ALPHA_SIGNIFICANT
-from .lexicon import SCALE_INDEX, MoodScale
+from .lexicon import MoodScale
 from .scoring import YearBucket, plain_sum
 
 FLAG_NONE = "none"
@@ -212,8 +212,9 @@ def build_trend(buckets: dict[int, YearBucket], dimension: MoodScale) -> TrendSe
     years = sorted(y for y, b in buckets.items() if b.vectors)
     if len(years) < 3:
         raise ValueError("need at least three non-empty year buckets")
-    col = SCALE_INDEX[dimension]
-    raw_means = [buckets[y].mean_vector()[col] for y in years]
+    # one column's mean per year; mean_vector() would sum all six columns
+    raw_means = [plain_sum(buckets[y].components(dimension)) / len(buckets[y].vectors)
+                 for y in years]
     z_scores, degenerate = zscore_series(raw_means)
     k = len(years)
     center = (k - 1) / 2.0

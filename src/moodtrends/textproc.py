@@ -3,14 +3,15 @@ corpus statistics."""
 
 from __future__ import annotations
 
-import string
 from functools import lru_cache
 
 from . import porter
 
-# every ASCII character but a-z and the apostrophe separates words
-_SEPARATE = str.maketrans({c: " " for c in map(chr, range(128))
-                           if c not in string.ascii_lowercase + "'"})
+# per byte: A-Z lowercase to a-z, a-z and the apostrophe stay, and every
+# other byte separates words
+_WORD_BYTES = bytes(c | 0x20 if ord("A") <= c <= ord("Z")
+                    else c if ord("a") <= c <= ord("z") or c == ord("'")
+                    else ord(" ") for c in range(256))
 
 
 def tokenize(text: str) -> list[str]:
@@ -19,15 +20,18 @@ def tokenize(text: str) -> list[str]:
     Digits, punctuation, symbols and any letter that does not lowercase into
     a-z act as separators; apostrophes are kept only word-internally.
     """
-    text = text.lower()
-    if not text.isascii():
+    if text.isascii():
+        data = text.encode("ascii")
+    else:
         # after lower() no non-ASCII character is part of a word
-        text = text.encode("ascii", "replace").decode("ascii")
-    text = f" {text.translate(_SEPARATE)} "
+        data = text.lower().encode("ascii", "replace")
+    text = data.translate(_WORD_BYTES).decode("ascii")
     words = text.split()
-    # padded, a word starts or ends with an apostrophe only beside a space
-    if " '" in text or "' " in text:
-        words = [w for w in (w.strip("'") for w in words) if w]
+    if "'" in text:
+        # padded, a word starts or ends with an apostrophe only beside a space
+        text = f" {text} "
+        if " '" in text or "' " in text:
+            words = [w for w in (w.strip("'") for w in words) if w]
     return words
 
 

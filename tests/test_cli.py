@@ -6,6 +6,7 @@ import io
 import json
 import tempfile
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,32 @@ class TestScoreCommand:
         assert f"scored: {len(rows)}  " in out
         assert sorted(json.loads((window / "buckets.json").read_text())) == \
             ["2009", "2010", "2011", "2012"]
+
+
+@pytest.mark.parametrize("command", ["score", "analyze"])
+@pytest.mark.parametrize("window", [[], ["--year-min", "2009", "--year-max", "2012"]])
+def test_each_body_tokenized_once(tmp_path, monkeypatch, step_corpus, command, window):
+    # the language filter hands its tokens to the scorer; a non-English and
+    # a short letter ride along, one in the window and one outside it
+    from moodtrends import corpus, scoring, textproc
+
+    path = tmp_path / "mixed.tsv"
+    path.write_bytes(step_corpus.read_bytes()
+                     + b"de\t2006-01-01\t2010-01-01\tder die das und aber nicht heute morgen\n"
+                     + b"short\t2006-01-01\t2016-01-01\tso tense\n")
+    bodies = Counter()
+
+    def counting_tokenize(text):
+        bodies[text] += 1
+        return textproc.tokenize(text)
+
+    monkeypatch.setattr(corpus, "tokenize", counting_tokenize)
+    monkeypatch.setattr(scoring, "tokenize", counting_tokenize)
+    assert main([command, "--corpus", str(path), "--lexicon", str(LEXICON), *window,
+                 "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+    records, _ = parse_corpus_file(path)
+    assert len(records) == 302
+    assert bodies == Counter(rec.body for rec in records)
 
 
 class TestAnalyzeCommand:

@@ -346,6 +346,40 @@ class TestFilterEnglish:
         assert kept_ids | rejected_ids == {r.id for r in records}
         assert kept_ids & rejected_ids == set()
 
+    @given(st.lists(st.sampled_from([
+        "I hope you will be happy and well",
+        "der die das und aber nicht heute morgen",
+        "short one",
+        "",
+        "Ich hoffe, dass du glücklich bist und es dir gut geht",
+        "we could not have known what the future holds",
+    ]), max_size=12), st.sampled_from([0.0, 0.15, 0.5, 1.0]))
+    @example(["I hope you will be happy and well", "short one",
+              "der die das und aber nicht heute morgen"], 0.15)
+    @settings(max_examples=100)
+    def test_on_kept_sees_each_kept_record_once_with_its_tokens(self, bodies, threshold):
+        records = [make_record(b, rec_id=f"r{i}") for i, b in enumerate(bodies)]
+        events, seen = [], []
+
+        def feed():
+            for rec in records:
+                events.append(("read", rec.id))
+                yield rec
+
+        def on_kept(rec, tokens):
+            events.append(("kept", rec.id))
+            seen.append((rec, tokens))
+
+        result = filter_english(feed(), threshold, on_kept=on_kept)
+        assert result == filter_english(records, threshold)
+        # kept records, short-flagged ones included, in input order
+        assert seen == [(rec, tokenize(rec.body)) for rec in result.kept]
+        # each callback comes right after its record is read and judged,
+        # before the next record is read
+        kept_ids = {rec.id for rec in result.kept}
+        assert events == [e for rec in records for e in
+                          [("read", rec.id), ("kept", rec.id)][:1 + (rec.id in kept_ids)]]
+
 
 class TestWordFrequency:
     def test_constructed_fixture(self):

@@ -172,3 +172,50 @@ def ingest_run(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(INGEST_GOLDEN))
 def test_ingest_golden_digest(ingest_run, name):
     assert ingest_run[name] == INGEST_GOLDEN[name]
+
+
+# Letters whose bodies hold non-ASCII text, so tokenize takes its second route
+# (lower() and an ASCII replace) on them: accents, the Kelvin sign (U+212A,
+# which lowercases to k), dotted capital I (U+0130), long s, sharp s, curly
+# apostrophes and quotes, a no-break space, a dash and a ligature. The tail
+# has a non-English letter and a short one, both non-ASCII. The digests were
+# recorded before tokenize moved onto a byte table.
+NON_ASCII_LINES = [
+    "n1\t2006-01-15\t2010-06-01\tMy résumé says I was naïve and tense, so"
+    " anxious and “sad” — don’t be angry with the café.",
+    "n2\t2006-02-01\t2010-09-30\tThe \u212aelvin scale was cold; I felt weary,"
+    " tired and lonely in \u0130stanbul, yet cheerful and lively\u00a0at the end.",
+    "n3\t2007-03-03\t2011-01-01\tI was confused and worried ‘that’ the"
+    " happy days would end in Straße, the lo\u017fs of my \ufb01ancé.",
+    "n4\t2007-05-05\t2011-12-31\tÜber die Straße und aber nicht heute morgen wieder schön",
+    "n5\t2008-01-01\t2012-01-01\tKüsse, \u212aatja",
+    "n6\t2008-06-30\t2012-07-04\tToday I feel tense and nervous and furious,"
+    " so weary of the «news» that I can’t sleep – énergie.",
+]
+
+NON_ASCII_GOLDEN = {
+    "rejections.txt":
+        "b2633333db016ee700262248d963088d550275047cf701db8282de68ed148501",
+    "scores.csv":
+        "b801d406b2fc89a9b1cc621f453aafb62ed020edae723fca69900b1b510bb3e8",
+    "wordfreq.csv":
+        "1ae0f9ec567137627849a0711f31929825bd0bebd4dcebaba8287fdbc45417f5",
+}
+
+
+@pytest.fixture(scope="module")
+def non_ascii_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("non_ascii")
+    corpus = root / "letters.tsv"
+    corpus.write_bytes("".join(f"{line}\n" for line in NON_ASCII_LINES).encode("utf-8"))
+    out = root / "out"
+    assert main(["stats", "--corpus", str(corpus), "--top-n", "100",
+                 "--output-dir", str(out)]) == EXIT_OK
+    assert main(["score", "--corpus", str(corpus), "--lexicon", str(LEXICON),
+                 "--output-dir", str(out)]) == EXIT_OK
+    return {name: _sha(out / name) for name in NON_ASCII_GOLDEN}
+
+
+@pytest.mark.parametrize("name", sorted(NON_ASCII_GOLDEN))
+def test_non_ascii_golden_digest(non_ascii_run, name):
+    assert non_ascii_run[name] == NON_ASCII_GOLDEN[name]

@@ -311,6 +311,8 @@ class TestStemMemo:
             matcher = compile_lexicon(lex)
             porter_route = matcher._replace(stem_memo=_PorterRoute())
             assert score_record(rec, matcher) == score_record(rec, porter_route)
+            # the tokens a caller already holds score like the body
+            assert score_record(rec, matcher, tokenize(rec.body)) == score_record(rec, matcher)
             stems = lexicon_stem_set(matcher)
             assert matcher.stem_memo.stems == stems and "" not in stems
             assert set(matcher.stem_memo.values()) <= stems | {""}

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import porter_reference
+import tokenize_reference
 from moodtrends import porter
 from moodtrends.textproc import porter_stem, tokenize
 
@@ -73,10 +74,13 @@ class TestTokenize:
         assert tokenize("x " + "'" * 1_000_000 + " y") == ["x", "y"]
         assert time.perf_counter() - start < 5.0
 
-    @given(st.text(st.one_of(st.sampled_from("ab'' -ZİK\n1."), st.characters()),
-                   max_size=60))
+    @given(st.text(st.one_of(st.sampled_from("ab'' -ZİK\n\r\t1.\u017f\u00df\u2019"),
+                             st.characters()), max_size=60))
     # U+212A KELVIN SIGN lowercases to ASCII k; U+0130 to i plus a combining dot
     @example("\u212aelvin \u0130stanbul")
+    # U+017F LATIN SMALL LETTER LONG S uppercases to ASCII S but is no ASCII letter
+    @example("lo\u017fs")
+    @example("stra\u00dfe")
     # a lone surrogate, which a JSONL body can carry
     @example("a\ud800b")
     # characters str.split() also treats as whitespace
@@ -85,10 +89,16 @@ class TestTokenize:
     @example("a' 'b")
     @example("' '")
     @example("x " + "'" * 10_000 + " y")
+    @example("''")
+    @example("'a'")
+    @example("rock 'n' roll")
+    @example("Dear me,\r\nI was\ttense\t\r\n")
     @settings(max_examples=500)
     def test_matches_run_then_strip_reference(self, text):
-        # and the single regex the translate-and-split path replaced
-        assert tokenize(text) == old_tokenize(text) == regex_tokenize(text)
+        # and the single regex that replaced it, and the str.translate
+        # tokenizer that the byte table replaced
+        assert (tokenize(text) == old_tokenize(text) == regex_tokenize(text)
+                == tokenize_reference.tokenize(text))
 
 
 class TestPorterStem:
