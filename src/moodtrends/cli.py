@@ -231,12 +231,13 @@ def _scores_row(row: list[str]) -> ScoredRecord:
     (1..9999) and match_count; components in [0, 1], all 0 iff match_count is 0."""
     if len(row) != len(SCORES_HEADER):
         raise ValueError(f"expected {len(SCORES_HEADER)} fields, got {len(row)}")
-    components = tuple(float(v) for v in row[2:8])
+    components = tuple(map(float, row[2:8]))
     year, match_count = int(row[1]), int(row[8])
     if not (str(year) == row[1] and str(match_count) == row[8] and 1 <= year <= 9999):
         raise ValueError(f"delivery_year {row[1]!r} and match_count {row[8]!r} must be "
                          "plain decimals, the year in 1..9999")
-    if not all(0.0 <= c <= 1.0 for c in components):  # nan fails this too
+    # nan fails both comparisons, and ±inf one of them
+    if not (all(map((0.0).__le__, components)) and all(map((1.0).__ge__, components))):
         raise ValueError(f"components not all in [0, 1]: {','.join(row[2:8])}")
     if match_count < 0:
         raise ValueError(f"negative match_count {match_count}")
@@ -270,11 +271,14 @@ def cmd_analyze(args: argparse.Namespace) -> None:
                                    alpha_significant=cfg.alpha_significant,
                                    alpha_marginal=cfg.alpha_marginal)
         flagged_total += sum(f != stats.FLAG_NONE for f in matrix.flags.values())
-        # cells and flags share one insertion order
+        # cells and flags share one insertion order; pairs share few distinct
+        # (result, flag) tails, so each is formatted once
+        tested = list(zip(matrix.cells.values(), matrix.flags.values()))
+        tails = {(r, flag): f"{name},{r.d_statistic:.6g},{r.p_value:.4f},{flag}"
+                 for r, flag in set(tested)}
         _write_lines(out_dir / f"ks_{name}.csv", [
             "year_a,year_b,dimension,d,p,flag",
-            *(f"{ya},{yb},{name},{r.d_statistic:.6g},{r.p_value:.4f},{flag}"
-              for ((ya, yb), r), flag in zip(matrix.cells.items(), matrix.flags.values()))])
+            *(f"{ya},{yb},{tails[key]}" for (ya, yb), key in zip(matrix.cells, tested))])
 
         if trends_possible:
             trend = stats.build_trend(buckets, dimension)

@@ -349,6 +349,8 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("row", [
         "x,2010,nan,0,0,0,0,0,1",
         "x,2010,inf,0,0,0,0,0,1",
+        "x,2010,0,0,0,0,0,-inf,1",
+        "x,2010,0.5,0,0,0,0,nan,1",
         "x,2010,5.0,0,0,0,0,0,1",
         "x,2010,-0.25,1.0,0,0,0,0,2",
         "x,2010,1.0,0,0,0,0,0,-1",
@@ -359,7 +361,7 @@ class TestAnalyzeCommand:
         "x, 2010,1.0,0,0,0,0,0,1",
         "x,2_010,1.0,0,0,0,0,0,1",
         "x,2010,1.0,0,0,0,0,0, 1",
-    ], ids=["nan", "inf", "above-1", "below-0", "negative-count",
+    ], ids=["nan", "inf", "minus-inf-last", "nan-last", "above-1", "below-0", "negative-count",
             "zero-count-with-hits", "count-without-hits", "year-above-9999",
             "year-0", "year-leading-space", "year-underscore", "count-leading-space"])
     def test_impossible_scores_row_exits_2(self, tmp_path, step_corpus, capsys, row):

@@ -4,6 +4,7 @@ import bisect
 import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_python
+from ks_merge_reference import ks_key
 from ks_oracle import brute_perm_p, exact_perm_p, mc_perm_p, oracle_d
+from moodtrends import stats
 from moodtrends.lexicon import MoodScale
 from moodtrends.scoring import YearBucket
 from moodtrends.stats import (FLAG_NONE, FLAG_SIGNIFICANT, build_trend,
@@ -156,6 +159,71 @@ class TestKsTwoSample:
             assert 0.0 <= r.p_value <= 1.0
 
 
+# small pools give heavy ties; -0.0 ties 0.0, and the infinities are values
+_TIED_POOL = [-math.inf, -1.0, -0.0, 0.0, 0.125, 0.5, 1.0, 3.0, math.inf]
+
+
+def merge_d_nums(samples):
+    """{(i, j): d_num} for i < j from the two-pointer merge reference."""
+    tables = [stats._step_table(s) for s in samples]
+    return {(i, j): ks_key(tables[i], tables[j])[0]
+            for i, j in itertools.combinations(range(len(samples)), 2)}
+
+
+def packed_d_nums(samples):
+    gaps = stats._gap_maxima([stats._step_table(s) for s in samples])
+    return {(i, j): max(gaps[i][j], gaps[j][i])
+            for i, j in itertools.combinations(range(len(samples)), 2)}
+
+
+class TestPackedKs:
+    """The packed walk gives every pair the D the two-pointer merge gives."""
+
+    @given(st.lists(st.integers(1, 400), min_size=2, max_size=12),
+           st.lists(st.sampled_from(_TIED_POOL), min_size=1, max_size=6),
+           st.randoms(use_true_random=False))
+    @example([1, 7, 3], [-0.0, 0.0, math.inf], random.Random(1))  # 8-bit fields
+    @example([7, 8, 1], [-math.inf, 0.0, -0.0], random.Random(2))  # 16-bit fields
+    @example([400, 1, 181, 400], _TIED_POOL, random.Random(3))  # 32-bit fields
+    @example([5] * 12, [0.5], random.Random(4))  # one value everywhere
+    @settings(max_examples=100, deadline=None)
+    def test_d_num_equals_merge_reference(self, sizes, pool, rng):
+        # each year draws from its own stretch of the sorted pool, so a pair's
+        # D ranges from 0 to 1
+        pool = sorted(pool)
+        samples = []
+        for n in sizes:
+            lo = rng.randrange(len(pool))
+            stretch = pool[lo:rng.randrange(lo, len(pool)) + 1]
+            samples.append([rng.choice(stretch) for _ in range(n)])
+        assert packed_d_nums(samples) == merge_d_nums(samples)
+
+    # the sizes either side of each step in field width (8, 16, 32, 64 bits)
+    # and the largest ones whose size² has 7, 15 or 31 bits, where one bit
+    # less of field would leave no spare bit; year 0's gap to year 1 peaks at
+    # n² - n and then falls to 0, so the fieldwise max must keep the peak
+    @pytest.mark.parametrize("n", [7, 8, 11, 127, 128, 181, 32_767, 32_768, 46_340,
+                                   65_537])
+    def test_largest_gap_kept_at_each_field_width(self, n):
+        samples = [[0.0] * (n - 1) + [2.0], [1.0] * n, [-0.0, 2.0], [0.5] * (n // 2 + 1)]
+        d_nums = packed_d_nums(samples)
+        assert d_nums == merge_d_nums(samples)
+        assert d_nums[0, 1] == n * n - n
+
+    def test_fields_wider_than_32_bits(self):
+        # the largest year's size² needs 33 bits, so fields are 64 bits wide
+        big = [i / 4096 for i in range(65_537)]
+        samples = [big, [0.0, 1.0, 2.0], [17.0] * 5, [-1.0, 8.0, 16.0, math.inf],
+                   big[::2], [v + 8.0 for v in big]]
+        assert (len(big) ** 2).bit_length() + 2 > 32
+        d_nums = packed_d_nums(samples)
+        assert d_nums == merge_d_nums(samples)
+        assert d_nums[0, 2] == len(big) * 5  # disjoint supports: D = 1
+        for (i, j), d_num in d_nums.items():
+            n, m = len(samples[i]), len(samples[j])
+            assert ks_two_sample(samples[i], samples[j]).d_statistic == d_num / (n * m)
+
+
 class TestPermutationOracleSelfChecks:
     """The DP oracle must agree with brute-force enumeration and scipy."""
 
@@ -293,6 +361,7 @@ class TestPolyfit2:
                     min_size=3, max_size=60)
            .filter(lambda points: len({x for x, _ in points}) >= 3))
     @example([(i - 29.5, math.sin(i) + 0.01 * i * i) for i in range(60)])  # build_trend's xs
+    @example([(0, 5e-324), (-1, 0.0), (2, 0.0)])  # every coefficient subnormal
     @settings(max_examples=300)
     def test_matches_lstsq_oracle(self, points):
         xs, ys = (list(col) for col in zip(*points))
@@ -304,7 +373,9 @@ class TestPolyfit2:
         (a0, a1, a2), *_ = np.linalg.lstsq(design, np.array(ys), rcond=None)
         expected = (a0 - a1 * xbar + a2 * xbar * xbar, a1 - 2.0 * a2 * xbar, a2)
         for got, want in ((coeffs, expected), (fitted, design @ (a0, a1, a2))):
-            scale = max(map(abs, [*got, *want]))
+            # below the smallest normal float a rounding error is absolute,
+            # so the relative bound stops shrinking there
+            scale = max(*map(abs, [*got, *want]), sys.float_info.min)
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9 * scale
 
 
@@ -392,6 +463,23 @@ class TestPairwiseKs:
             a, b = samples[ya], samples[yb]
             assert result == ks_two_sample(a, b)
             assert result.d_statistic == oracle_d(a, b)
+            assert matrix.flags[ya, yb] == classify_p(result.p_value)
+
+    def test_unequal_sizes_keep_pair_order(self):
+        # (2000, 2001) and (2001, 2003) test the same two samples in the two
+        # orders, so one p serves (d_num, 3, 5) and (d_num, 5, 3)
+        short, long = [0.1, 0.2, 0.3], [0.15, 0.25, 0.35, 0.45, 0.55]
+        samples = {2000: short, 2001: long, 2002: long[:4] + [0.9], 2003: short}
+        matrix = pairwise_ks({y: bucket_of_components(v) for y, v in samples.items()},
+                             MoodScale.TENSION)
+        assert matrix.cells[2000, 2001].p_value == matrix.cells[2001, 2003].p_value
+        for (ya, yb), result in matrix.cells.items():
+            a, b = samples[ya], samples[yb]
+            n, m = len(a), len(b)
+            assert (result.n, result.m) == (n, m)
+            assert result == ks_two_sample(a, b)
+            d_num, *_ = ks_key(stats._step_table(a), stats._step_table(b))
+            assert result.d_statistic == d_num / (n * m)
             assert matrix.flags[ya, yb] == classify_p(result.p_value)
 
     def test_one_value_everywhere_gives_d_zero_p_one(self):
