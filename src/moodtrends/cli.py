@@ -236,8 +236,7 @@ def _scores_row(row: list[str]) -> ScoredRecord:
     if not (str(year) == row[1] and str(match_count) == row[8] and 1 <= year <= 9999):
         raise ValueError(f"delivery_year {row[1]!r} and match_count {row[8]!r} must be "
                          "plain decimals, the year in 1..9999")
-    # nan fails both comparisons, and ±inf one of them
-    if not (all(map((0.0).__le__, components)) and all(map((1.0).__ge__, components))):
+    if not all(0.0 <= c <= 1.0 for c in components):
         raise ValueError(f"components not all in [0, 1]: {','.join(row[2:8])}")
     if match_count < 0:
         raise ValueError(f"negative match_count {match_count}")

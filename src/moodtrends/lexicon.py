@@ -18,7 +18,7 @@ import string
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
-from .porter import stem_prefix
+from . import porter
 from .textproc import porter_stem, tokenize
 
 MAX_PHRASE_WORDS = 4
@@ -170,7 +170,7 @@ class StemMemo(dict):
         # the prefixes by initial letter, so a test is one C-level startswith
         # over a few of them; an empty prefix (of stem e, i or l) begins any word
         self._prefixes: dict[str, tuple[str, ...]] = {}
-        for prefix in sorted(map(stem_prefix, stems)):
+        for prefix in sorted(map(porter.stem_prefix, stems)):
             for initial in prefix[:1] or string.ascii_lowercase:
                 self._prefixes[initial] = self._prefixes.get(initial, ()) + (prefix,)
 
@@ -178,7 +178,7 @@ class StemMemo(dict):
         word = token.replace("'", "")
         stem = ""
         if word.startswith(self._prefixes.get(word[:1], ())):
-            stem = porter_stem(token)
+            stem = porter.stem(word)
             if stem not in self.stems:
                 stem = ""
         self[token] = stem

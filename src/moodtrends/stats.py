@@ -5,14 +5,15 @@ global quadratic trend fits.
 KS D is exact: d_num / (n*m) from integer counts. For all year pairs of a
 dimension at once, each pooled value gets one int packing every year's count
 <= it, and each year walks only its own values against every other year
-(`_gap_maxima`); `ks_two_sample` runs the same walk on two samples.
+(`_gap_maxima`); `ks_two_sample` runs the same walk on two samples, and
+`pairwise_ks` computes one result per distinct (d_num, n, m).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
+import struct
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -24,7 +25,7 @@ FLAG_NONE = "none"
 FLAG_MARGINAL = "marginal"
 FLAG_SIGNIFICANT = "significant"
 _StepTable = tuple[list[float], list[int]]
-# native unsigned array codes by field width in bits
+# little-endian unsigned struct codes by field width in bits
 _FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
@@ -79,7 +80,7 @@ def _step_table(sample: Iterable[float]) -> _StepTable:
     return values, list(itertools.accumulate(map(counts.__getitem__, values)))
 
 
-def _gap_maxima(tables: Sequence[_StepTable]) -> list[list[int]]:
+def _gap_maxima(tables: Sequence[_StepTable]) -> list[tuple[int, ...]]:
     """gaps[a][b] = max of F_a(v)*n_b - F_b(v)*n_a over table a's own values
     v, F the counts <= v and n the sizes; a pair's d_num is
     max(gaps[a][b], gaps[b][a]).
@@ -91,8 +92,8 @@ def _gap_maxima(tables: Sequence[_StepTable]) -> list[list[int]]:
     (SIMD within a register, Fisher & Dietz 1998). A field holds the gap
     plus size², in [0, 2*size²], below a spare top bit that the fieldwise
     max borrows; fields are 8, 16, 32 or 64 bits wide (any table under
-    2**31 values), so each walk's maxima read out as one native array. The
-    arithmetic is all integer, so the result is exact.
+    2**31 values), so each walk's maxima read out in one little-endian
+    decode. The arithmetic is all integer, so the result is exact.
     """
     sizes = [cum[-1] for _, cum in tables]
     offset = max(sizes) ** 2
@@ -109,7 +110,7 @@ def _gap_maxima(tables: Sequence[_StepTable]) -> list[list[int]]:
     ones = sum(1 << shift for shift in shifts)
     packed_sizes = sum(n << shift for n, shift in zip(sizes, shifts))
     top, floor = ones << (width - 1), offset * ones
-    code, nbytes = _FIELD_CODES[width], len(shifts) * width // 8
+    decode = struct.Struct(f"<{len(tables)}{_FIELD_CODES[width]}")
     gaps = []
     for (values, cum), n in zip(tables, sizes):
         best = floor  # a's gap is n*n_b >= 0 at its last value
@@ -118,8 +119,7 @@ def _gap_maxima(tables: Sequence[_StepTable]) -> list[list[int]]:
             # fieldwise max: a field's top bit of (best|top) - gap is set where best >= gap
             keep = ((best | top) - gap) & top
             best = gap ^ ((best ^ gap) & (keep - (keep >> (width - 1))))
-        row = memoryview((best - floor).to_bytes(nbytes, sys.byteorder)).cast(code).tolist()
-        gaps.append(row if sys.byteorder == "little" else row[::-1])
+        gaps.append(decode.unpack((best - floor).to_bytes(decode.size, "little")))
     return gaps
 
 
@@ -172,13 +172,10 @@ def pairwise_ks(buckets: dict[int, YearBucket], dimension: MoodScale,
     keys: list[tuple[int, int, int]] = []
     for a, (row, col, n) in enumerate(zip(gaps, zip(*gaps), sizes), start=1):
         keys += zip(map(max, row[a:], col[a:]), itertools.repeat(n), sizes[a:])
-    # a result and its flag depend only on (d_num, n, m), and p only on
-    # d_num, n*m and n+m: one p per key and its mirror (d_num, m, n)
+    # a result and its flag depend only on (d_num, n, m): one of each per key
     results: dict[tuple[int, int, int], tuple[KsResult, str]] = {}
     for key in dict.fromkeys(keys):
-        d_num, n, m = key
-        mirror = results.get((d_num, m, n))
-        result = _ks_result(*key) if mirror is None else mirror[0]._replace(n=n, m=m)
+        result = _ks_result(*key)
         results[key] = result, classify_p(result.p_value, alpha_significant, alpha_marginal)
     pairs = list(itertools.combinations(years, 2))
     cells, flags = zip(*map(results.__getitem__, keys))

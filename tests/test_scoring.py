@@ -331,6 +331,18 @@ class TestStemMemo:
         memo = StemMemo(frozenset({"i"}))
         assert [memo[w] for w in ("i", "is", "zebra")] == ["i", "", ""]
 
+    def test_scoring_leaves_porter_stem_cache_alone(self):
+        # the memo stems each token once itself; porter_stem's lru cache is
+        # compile_lexicon's, so scoring moves neither its hits nor its misses
+        rec = make_record("Possibility, heavy-eyed, go'ing on edge, fully the table's")
+        matcher = compile_lexicon(MEMO_LEXICONS[3])
+        before = porter_stem.cache_info()
+        row = score_record(rec, matcher)
+        after = porter_stem.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert matcher.stem_memo["go'ing"] == "go" and matcher.stem_memo["fully"] == ""
+        assert row == score_record(rec, matcher._replace(stem_memo=_PorterRoute()))
+
     def test_used_matcher_differs_from_fresh_compile(self):
         fresh = compile_lexicon(MEMO_LEXICONS[0])
         used = compile_lexicon(MEMO_LEXICONS[0])

@@ -467,7 +467,7 @@ class TestPairwiseKs:
 
     def test_unequal_sizes_keep_pair_order(self):
         # (2000, 2001) and (2001, 2003) test the same two samples in the two
-        # orders, so one p serves (d_num, 3, 5) and (d_num, 5, 3)
+        # orders, (d_num, 3, 5) and (d_num, 5, 3); both orders give the same p
         short, long = [0.1, 0.2, 0.3], [0.15, 0.25, 0.35, 0.45, 0.55]
         samples = {2000: short, 2001: long, 2002: long[:4] + [0.9], 2003: short}
         matrix = pairwise_ks({y: bucket_of_components(v) for y, v in samples.items()},
