@@ -143,12 +143,11 @@ def _score_chain(cfg: PipelineConfig):
 def _buckets_json(buckets: dict[int, YearBucket]) -> dict:
     out = {}
     for year, b in buckets.items():
-        mean = b.mean_vector()
         out[str(year)] = {
             "year": year,
             "count": len(b.vectors),
             "zero_match_count": b.zero_match_count,
-            "mean_vector": None if mean is None else [repr(c) for c in mean],
+            "mean_vector": [repr(b.mean(s)) for s in SCALES] if b.vectors else None,
         }
     return out
 

@@ -85,40 +85,27 @@ def score_record(rec: EmailRecord, matcher: CompiledMatcher,
                         tuple(c / norm for c in components), sum(counts))
 
 
-class YearBucket:
+class YearBucket(NamedTuple):
     """The unit vectors of one delivery year, each a tuple of six floats in
-    scale order, plus the number of its documents with no lexicon hit."""
+    scale order, plus the number of its documents with no lexicon hit.
+    Fields are stored as given; `bucket_scores` converts and checks them."""
 
-    def __init__(self, vectors: Iterable[Sequence[float]] = (),
-                 zero_match_count: int = 0) -> None:
-        self.vectors = tuple(tuple(map(float, v)) for v in vectors)
-        if any(len(v) != len(SCALES) for v in self.vectors):
-            raise ValueError(f"every vector needs {len(SCALES)} components")
-        self.zero_match_count = zero_match_count
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vectors, self.zero_match_count) == (other.vectors, other.zero_match_count)
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(vectors={self.vectors!r}, "
-                f"zero_match_count={self.zero_match_count!r})")
+    vectors: tuple[tuple[float, ...], ...] = ()
+    zero_match_count: int = 0
 
     def components(self, scale: MoodScale) -> tuple[float, ...]:
         return tuple(map(itemgetter(SCALE_INDEX[scale]), self.vectors))
 
-    def mean_vector(self) -> tuple[float, ...] | None:
-        if not self.vectors:
-            return None
-        n = len(self.vectors)
-        return tuple(plain_sum(col) / n for col in zip(*self.vectors))
+    def mean(self, scale: MoodScale) -> float:
+        """The left-to-right mean of one scale's components; the year needs vectors."""
+        return plain_sum(self.components(scale)) / len(self.vectors)
 
 
 def bucket_scores(rows: Iterable[ScoredRecord]) -> dict[int, YearBucket]:
-    """Group scored rows by delivery year.
+    """Group scored rows by delivery year, each vector as a tuple of six floats.
 
-    Zero-match rows are counted per bucket but contribute no vector.
+    Zero-match rows are counted per bucket but contribute no vector. A
+    vector without six components is a ValueError.
     """
     vectors: dict[int, list[tuple[float, ...]]] = {}
     zeros: dict[int, int] = {}
@@ -127,9 +114,12 @@ def bucket_scores(rows: Iterable[ScoredRecord]) -> dict[int, YearBucket]:
         year_vectors = vectors.setdefault(year, [])
         if row.match_count == 0:
             zeros[year] = zeros.get(year, 0) + 1
-        else:
-            year_vectors.append(row.components)
-    return {year: YearBucket(vecs, zeros.get(year, 0))
+            continue
+        vector = tuple(map(float, row.components))
+        if len(vector) != len(SCALES):
+            raise ValueError(f"every vector needs {len(SCALES)} components")
+        year_vectors.append(vector)
+    return {year: YearBucket(tuple(vecs), zeros.get(year, 0))
             for year, vecs in vectors.items()}
 
 

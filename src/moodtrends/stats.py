@@ -139,17 +139,15 @@ def classify_p(p: float, alpha_significant: float = ALPHA_SIGNIFICANT,
     return FLAG_NONE
 
 
-class SignificanceMatrix:
+class SignificanceMatrix(NamedTuple):
     """Pairwise KS results for one mood dimension.
 
     cells and flags key every tested pair once, as (year_a, year_b) with
-    year_a < year_b, in ascending order; each starts as a new empty dict.
+    year_a < year_b, in ascending order.
     """
 
-    def __init__(self, cells: dict[tuple[int, int], KsResult] | None = None,
-                 flags: dict[tuple[int, int], str] | None = None) -> None:
-        self.cells = {} if cells is None else cells
-        self.flags = {} if flags is None else flags
+    cells: dict[tuple[int, int], KsResult]
+    flags: dict[tuple[int, int], str]
 
     def pairs(self) -> list[tuple[int, int]]:
         """The tested year pairs in order; perfbench counts them as stats.ks_tests."""
@@ -252,9 +250,7 @@ def build_trend(buckets: dict[int, YearBucket], dimension: MoodScale) -> TrendSe
     years = sorted(y for y, b in buckets.items() if b.vectors)
     if len(years) < 3:
         raise ValueError("need at least three non-empty year buckets")
-    # one column's mean per year; mean_vector() would sum all six columns
-    raw_means = [plain_sum(buckets[y].components(dimension)) / len(buckets[y].vectors)
-                 for y in years]
+    raw_means = [buckets[y].mean(dimension) for y in years]
     z_scores, degenerate = zscore_series(raw_means)
     k = len(years)
     center = (k - 1) / 2.0

@@ -278,6 +278,25 @@ class TestAnalyzeCommand:
             assert (inline / name).read_bytes() == \
                 (from_scores / name).read_bytes(), name
 
+    def test_bucket_means_equal_trend_raw_means(self, tmp_path, step_corpus):
+        # buckets.json and trend_<scale>.json print one year mean, from one route
+        score_out = tmp_path / "score"
+        assert main(["score", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
+                     "--output-dir", str(score_out)]) == EXIT_OK
+        buckets = json.loads((score_out / "buckets.json").read_text())
+        means = {int(y): b["mean_vector"] for y, b in buckets.items() if b["count"]}
+        inline, from_scores = tmp_path / "an_inline", tmp_path / "an_scores"
+        assert main(["analyze", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
+                     "--output-dir", str(inline)]) == EXIT_OK
+        assert main(["analyze", "--scores", str(score_out / "scores.csv"),
+                     "--output-dir", str(from_scores)]) == EXIT_OK
+        for out in (inline, from_scores):
+            for i, dim in enumerate(("tension", "depression", "anger", "vigor",
+                                     "fatigue", "confusion")):
+                trend = json.loads((out / f"trend_{dim}.json").read_text())
+                assert trend["years"] == sorted(means)
+                assert trend["raw_means"] == [means[y][i] for y in trend["years"]], dim
+
     def test_scores_round_trip_with_csv_special_ids(self, tmp_path, step_corpus):
         lines = step_corpus.read_text().splitlines()
         for i, new_id in ((0, "a,1"), (40, 'q"x')):
@@ -563,7 +582,7 @@ class TestSvgRendering:
             raw_means=[0.5, 0.5, 0.5], z_scores=[0.0, 0.0, 0.0],
             fit_coeffs=(0.0, 0.0, 0.0), fitted=[0.0, 0.0, 0.0],
             degenerate=True)
-        doc = render_trend_svg(trend, SignificanceMatrix())
+        doc = render_trend_svg(trend, SignificanceMatrix({}, {}))
         root = ET.fromstring(doc)
         assert root.tag.endswith("svg")
 
@@ -575,7 +594,7 @@ class TestSvgRendering:
         from moodtrends.svg import render_trend_svg
         buckets = {2000 + i: YearBucket([[0.1 + (i * i % 7) / 10, 0, 0, 0, 0, 0]])
                    for i in range(n_years)}
-        matrix = SignificanceMatrix(flags=flags or {})
+        matrix = SignificanceMatrix({}, flags or {})
         doc = render_trend_svg(build_trend(buckets, MoodScale.TENSION), matrix)
         return [t.text for t in ET.fromstring(doc).iter("{http://www.w3.org/2000/svg}text")]
 

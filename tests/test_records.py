@@ -1,7 +1,6 @@
 """Contracts of the record and config types: immutable named tuples, a
 config key table in field order, overrides that return a new config, and
-the two classes that keep constructors of their own (YearBucket converts
-and checks its vectors; SignificanceMatrix starts with new dicts)."""
+bucket_scores as the one place a year's vectors are converted and checked."""
 
 from __future__ import annotations
 
@@ -9,7 +8,7 @@ import pytest
 
 from conftest import make_record
 from moodtrends.config import KEY_TYPES, PipelineConfig, apply_overrides
-from moodtrends.scoring import ScoredRecord, YearBucket
+from moodtrends.scoring import ScoredRecord, YearBucket, bucket_scores
 from moodtrends.stats import FLAG_NONE, KsResult, SignificanceMatrix
 
 
@@ -35,7 +34,10 @@ def test_apply_overrides_returns_new_config():
     (make_record("hope"), "body"),
     (ScoredRecord("a", 2010, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0), 1), "match_count"),
     (KsResult(0.5, 0.25, 3, 4), "p_value"),
-], ids=["PipelineConfig", "EmailRecord", "ScoredRecord", "KsResult"])
+    (YearBucket(((1.0, 0.0, 0.0, 0.0, 0.0, 0.0),), 2), "zero_match_count"),
+    (SignificanceMatrix({}, {}), "flags"),
+], ids=["PipelineConfig", "EmailRecord", "ScoredRecord", "KsResult", "YearBucket",
+        "SignificanceMatrix"])
 def test_record_field_assignment_refused(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
@@ -48,22 +50,18 @@ def test_records_unpack_and_compare_by_value():
     assert repr(KsResult(0.5, 0.25, 3, 4)) == "KsResult(d_statistic=0.5, p_value=0.25, n=3, m=4)"
     # they compare as tuples, so a plain tuple of the same values is equal
     assert KsResult(0.5, 0.25, 3, 4) == (0.5, 0.25, 3, 4)
+    assert YearBucket() == ((), 0) != YearBucket(zero_match_count=1)
+    cells, flags = matrix = SignificanceMatrix({(2010, 2011): KsResult(0.0, 1.0, 1, 1)},
+                                               {(2010, 2011): FLAG_NONE})
+    assert matrix == (cells, flags) and matrix.pairs() == [(2010, 2011)]
 
 
-def test_significance_matrices_share_no_dict():
-    a, b = SignificanceMatrix(), SignificanceMatrix()
-    a.cells[2010, 2011] = KsResult(0.0, 1.0, 1, 1)
-    a.flags[2010, 2011] = FLAG_NONE
-    assert (b.cells, b.flags) == ({}, {})
-    assert a.pairs() == [(2010, 2011)] and b.pairs() == []
-
-
-def test_year_bucket_converts_checks_and_compares_by_value():
-    bucket = YearBucket([[1, 0, 0, 0, 0, 0]])
-    assert bucket == YearBucket(((1.0, 0.0, 0.0, 0.0, 0.0, 0.0),))
-    assert bucket.vectors == ((1.0, 0.0, 0.0, 0.0, 0.0, 0.0),)
-    assert YearBucket() == YearBucket((), 0) != YearBucket(zero_match_count=1)
-    assert repr(YearBucket(bucket.vectors, 2)) == (
-        "YearBucket(vectors=((1.0, 0.0, 0.0, 0.0, 0.0, 0.0),), zero_match_count=2)")
+def test_bucket_scores_converts_and_checks_vectors():
+    rows = [ScoredRecord("a", 2010, (1, 0, 0, 0, 0, 0), 1), ScoredRecord("b", 2010, (0,) * 6, 0)]
+    bucket = bucket_scores(rows)[2010]
+    assert bucket == YearBucket(((1.0, 0.0, 0.0, 0.0, 0.0, 0.0),), 1)
+    assert type(bucket.vectors[0][0]) is float
+    assert repr(bucket) == (
+        "YearBucket(vectors=((1.0, 0.0, 0.0, 0.0, 0.0, 0.0),), zero_match_count=1)")
     with pytest.raises(ValueError, match="^every vector needs 6 components$"):
-        YearBucket([[0.0] * 5])
+        bucket_scores([ScoredRecord("c", 2010, (0.0,) * 5, 1)])

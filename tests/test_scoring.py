@@ -376,9 +376,10 @@ class TestYearBucket:
                     min_size=1, max_size=40))
     @example([[-0.0, 0.5, 0.0, 0.0, 0.0, 1.0], [-0.0, 0.25, 0.0, 0.0, 0.0, 1.0]])
     @settings(max_examples=300, deadline=None)
-    def test_mean_vector_matches_numpy_bit_for_bit(self, rows):
+    def test_mean_matches_numpy_bit_for_bit(self, rows):
         expected = np.asarray(rows, dtype=np.float64).mean(axis=0).tolist()
-        got = YearBucket(rows).mean_vector()
+        bucket = YearBucket(rows)
+        got = [bucket.mean(s) for s in SCALES]
         assert [c.hex() for c in got] == [c.hex() for c in expected]
 
     @pytest.mark.parametrize("vectors", [
@@ -388,5 +389,6 @@ class TestYearBucket:
         [[0.0] * 6, [0.0] * 5],
     ])
     def test_vector_without_six_components_rejected(self, vectors):
-        with pytest.raises(ValueError):
-            YearBucket(vectors)
+        rows = [ScoredRecord(f"r{i}", 2010, tuple(v), 1) for i, v in enumerate(vectors)]
+        with pytest.raises(ValueError, match="^every vector needs 6 components$"):
+            bucket_scores(rows)

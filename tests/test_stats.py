@@ -15,7 +15,7 @@ from conftest import run_python
 from ks_merge_reference import ks_key
 from ks_oracle import brute_perm_p, exact_perm_p, mc_perm_p, oracle_d
 from moodtrends import stats
-from moodtrends.lexicon import MoodScale
+from moodtrends.lexicon import SCALES, MoodScale
 from moodtrends.scoring import YearBucket
 from moodtrends.stats import (FLAG_NONE, FLAG_SIGNIFICANT, build_trend,
                               classify_p, ks_two_sample, pairwise_ks,
@@ -550,7 +550,7 @@ class TestBuildTrend:
             for v in samples:
                 total += v
             bucket = YearBucket([unit_vector(v) for v in samples])
-            assert bucket.mean_vector()[1] == total / n
+            assert bucket.mean(SCALES[1]) == total / n
 
     def test_needs_three_nonempty_years(self):
         buckets = {2010: bucket_of(2010, [0.1]), 2011: bucket_of(2011, [0.2])}
