@@ -110,18 +110,22 @@ def parse_profile(expr: str) -> Callable[[int], float]:
     text = expr.strip().lower()
     if "(" not in text or not text.endswith(")"):
         raise ValueError(f"bad profile expression {expr!r}")
-    name, _, arg_text = text.partition("(")
+    name, _, arg_text = text[:-1].partition("(")
     name = name.strip()
-    args = [a.strip() for a in arg_text[:-1].split(",") if a.strip()]
+    # "f()" has no arguments; an empty one between commas is an error
+    args = arg_text.split(",") if arg_text.strip() else []
     try:
         values = [float(a) for a in args]
         if not all(map(math.isfinite, values)):
             raise ValueError
     except ValueError:
         raise ValueError(f"bad profile arguments in {expr!r}") from None
-    counts, intensity = _PROFILES.get(name, ((), None))
-    if len(values) not in counts:
+    if name not in _PROFILES:
         raise ValueError(f"unknown profile {expr!r}")
+    counts, intensity = _PROFILES[name]
+    if len(values) not in counts:
+        raise ValueError(f"{name} takes {' or '.join(map(str, counts))} argument"
+                         f"{'' if counts == (1,) else 's'}, got {len(values)} in {expr!r}")
     return lambda i: intensity(i, *values)
 
 
@@ -161,16 +165,6 @@ MAX_TERMS_PER_SCALE = 10_000
 MAX_SYNTH_RECORDS = 1_000_000
 
 
-def _below(bits: Callable[[int], int], n: int) -> int:
-    """A draw from range(n) as ``random.Random`` makes it: ``bits(k)`` with
-    k = n.bit_length(), repeated until the value is below n."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
 def generate_corpus(specs: Sequence[TrendSpec], years: Sequence[int],
                     emails_per_year: int, lexicon: MoodLexicon, seed: int,
                     origin_year: int | None = None) -> list[EmailRecord]:
@@ -183,10 +177,12 @@ def generate_corpus(specs: Sequence[TrendSpec], years: Sequence[int],
     MAX_SYNTH_RECORDS letters in all, raises ValueError. Documents are
     composed in origin_year and delivered in the bucket year.
 
-    Each letter draws from ``random.Random(f"{seed}:{year}:{email_idx}")``;
-    picks and the shuffle are written on its ``getrandbits`` with the rule
-    of CPython's ``Random.choice`` and ``Random.shuffle``, so the same
-    arguments give the same records on every supported Python.
+    Each letter draws from ``random.Random(f"{seed}:{year}:{email_idx}")``.
+    Every draw from range(n), a term pick, a shuffle swap or a filler word,
+    is r = getrandbits(k) with k = n.bit_length(), drawn again while
+    r >= n: the rule of CPython's ``Random.choice`` and ``Random.shuffle``,
+    so the same arguments give the same records on every supported Python.
+    Repeated years raise ValueError.
     """
     if emails_per_year < 1:
         raise ValueError("emails_per_year must be >= 1")
@@ -197,6 +193,9 @@ def generate_corpus(specs: Sequence[TrendSpec], years: Sequence[int],
     years = sorted(years)
     if not years:
         raise ValueError("empty year range")
+    repeated = [a for a, b in zip(years, years[1:]) if a == b]
+    if repeated:
+        raise ValueError(f"year {repeated[0]} is repeated")
     if origin_year is None:
         origin_year = years[0]
     if origin_year > years[0]:
@@ -226,25 +225,34 @@ def generate_corpus(specs: Sequence[TrendSpec], years: Sequence[int],
         for email_idx in range(emails_per_year):
             rng.seed(f"{seed}:{year}:{email_idx}")
             chunks: list[str] = []
+            pick = chunks.append
             for scale, intensity, noise_sd, terms in planted:
                 if noise_sd > 0:
                     intensity += rng.gauss(0.0, noise_sd)
-                if not math.isfinite(intensity) or round(intensity) > MAX_TERMS_PER_SCALE:
+                if not math.isfinite(intensity) or (
+                        count := round(intensity)) > MAX_TERMS_PER_SCALE:
                     raise ValueError(
                         f"trend.{scale} plants {intensity:g} terms in a {year} letter; "
                         f"the ceiling is {MAX_TERMS_PER_SCALE} per scale per letter")
-                chunks += [terms[_below(bits, len(terms))]
-                           for _ in range(max(0, round(intensity)))]
-            # Fisher-Yates from the end, as Random.shuffle
+                n = len(terms)
+                k = n.bit_length()
+                for _ in range(count):
+                    r = bits(k)
+                    while r >= n:
+                        r = bits(k)
+                    pick(terms[r])
+            # Fisher-Yates from the end, as Random.shuffle: j from range(i + 1)
             for i in range(len(chunks) - 1, 0, -1):
-                j = _below(bits, i + 1)
+                k = (i + 1).bit_length()
+                j = bits(k)
+                while j > i:
+                    j = bits(k)
                 chunks[i], chunks[j] = chunks[j], chunks[i]
             # the body is filler slots with the chunks between them, as
             # words: function noun chunk function noun ... function noun.
             # A function word per slot makes every body clear the
             # function-word-ratio language filter. The slots draw in body
-            # order, after the shuffle. At two draws per slot they are the
-            # hottest draws, so _below is inlined here.
+            # order, after the shuffle.
             words = [""] * (3 * len(chunks) + 2)
             words[2::3] = chunks
             for at in range(0, len(words), 3):

@@ -903,8 +903,9 @@ def test_lexicon_rule_error_line(tmp_path, capsys, line, message):
     ("constant(3)", "constant 3", "bad profile expression 'constant 3'"),
     ("constant(3)", "constant(three)", "bad profile arguments in 'constant(three)'"),
     ("constant(3)", "wobble(1)", "unknown profile 'wobble(1)'"),
-    ("constant(3)", "step(1, 2)", "unknown profile 'step(1, 2)'"),
-    ("constant(3)", "linear(1, 2, 3)", "unknown profile 'linear(1, 2, 3)'"),
+    ("constant(3)", "step(1, 2)", "step takes 3 arguments, got 2 in 'step(1, 2)'"),
+    ("constant(3)", "linear(1, 2, 3)",
+     "linear takes 1 or 2 arguments, got 3 in 'linear(1, 2, 3)'"),
     ("seed = 1", "noise_sd = -0.5", "noise_sd must be >= 0"),
     ("seed = 1", "noise_sd.vigor = -1", "noise_sd must be >= 0"),
     ("seed = 1", "noise_sd = inf", "noise_sd must be finite, got inf"),

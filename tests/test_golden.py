@@ -116,6 +116,27 @@ def test_golden_digest(golden_run, name):
     assert golden_run[name] == GOLDEN[name]
 
 
+# The C7 shape in small: six constant(10) scales, so 60-chunk letters whose
+# shuffles draw at every k from 1 to 6. The digest was recorded before the
+# term picks and the shuffle were written as inline rejection loops.
+DENSE_SPEC = """\
+years = 2006-2009
+emails_per_year = 20
+seed = 7
+""" + "".join(f"trend.{scale} = constant(10)\n" for scale in
+              ("tension", "depression", "anger", "fatigue", "vigor", "confusion"))
+
+DENSE_CORPUS_SHA = "d14034e6f771db47c7b36ee24a9ed2103430061c1eff2367c7a88b15d0ab45ae"
+
+
+def test_dense_corpus_digest(tmp_path):
+    spec = tmp_path / "dense.spec"
+    spec.write_text(DENSE_SPEC)
+    corpus = tmp_path / "corpus.tsv"
+    assert main(["synth", "--spec", str(spec), "--out", str(corpus)]) == EXIT_OK
+    assert _sha(corpus) == DENSE_CORPUS_SHA
+
+
 # Bodies hold every escape the codec knows, an unknown escape (\q reads as q)
 # and a trailing lone backslash; the tail of the file has one line per TSV
 # rejection code, a blank line, a non-English letter and a short one.

@@ -39,6 +39,24 @@ class TestProfiles:
             with pytest.raises(ValueError):
                 parse_profile(expr)
 
+    @pytest.mark.parametrize("expr", ["constant(1,)", "constant(,1)", "step(1, 6, , 5)",
+                                      "linear( , )", "quadratic(1,,2,3)"])
+    def test_empty_argument_rejected(self, expr):
+        with pytest.raises(ValueError) as info:
+            parse_profile(expr)
+        assert str(info.value) == f"bad profile arguments in {expr!r}"
+
+    @pytest.mark.parametrize("expr,message", [
+        ("step(1, 2)", "step takes 3 arguments, got 2 in 'step(1, 2)'"),
+        ("linear(1, 2, 3)", "linear takes 1 or 2 arguments, got 3 in 'linear(1, 2, 3)'"),
+        ("constant()", "constant takes 1 argument, got 0 in 'constant()'"),
+        ("Quadratic( )", "quadratic takes 3 arguments, got 0 in 'Quadratic( )'"),
+    ])
+    def test_wrong_argument_count_named(self, expr, message):
+        with pytest.raises(ValueError) as info:
+            parse_profile(expr)
+        assert str(info.value) == message
+
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             make_trend_spec(MoodScale.VIGOR, "constant(1)", noise_sd=-0.1)
@@ -76,6 +94,13 @@ class TestGenerateCorpus:
     def test_empty_year_range_rejected(self, default_lexicon):
         with pytest.raises(ValueError):
             generate_corpus(step_specs(), [], 5, default_lexicon, seed=0)
+
+    @pytest.mark.parametrize("years,repeated", [([2010, 2010], 2010),
+                                                 ([2012, 2010, 2011, 2010], 2010)])
+    def test_repeated_year_rejected(self, default_lexicon, years, repeated):
+        # each repeat would write a second record under every id of its year
+        with pytest.raises(ValueError, match=f"^year {repeated} is repeated$"):
+            generate_corpus(step_specs(), years, 2, default_lexicon, seed=0)
 
     def test_bodies_pass_english_filter(self, default_lexicon):
         records = generate_corpus(step_specs(0.5), YEARS, 10, default_lexicon,
@@ -210,6 +235,11 @@ class TestOracle:
     @example(plan=[("tension", "constant(1)", 0.0), ("anger", "constant(1)", 0.0)],
              lexicon="default", first_year=2010, n_years=2, emails_per_year=2,
              origin_back=0, seed=3)
+    # C7's density: 60-chunk letters, so 59-draw shuffles at every k from 1
+    # to 6, and picks from every scale of the default lexicon (34 to 55
+    # terms, none a power of two, so picks are rejected and drawn again)
+    @example(plan=[(s.value, "constant(10)", 0.0) for s in MoodScale], lexicon="default",
+             first_year=2006, n_years=3, emails_per_year=4, origin_back=None, seed=1)
     def test_same_records_as_reference(self, plan, lexicon, first_year, n_years,
                                        emails_per_year, origin_back, seed):
         specs = [make_trend_spec(MoodScale(scale), expr, noise_sd=noise)
