@@ -269,14 +269,13 @@ def cmd_analyze(args: argparse.Namespace) -> None:
                                    alpha_significant=cfg.alpha_significant,
                                    alpha_marginal=cfg.alpha_marginal)
         flagged_total += sum(f != stats.FLAG_NONE for f in matrix.flags.values())
-        # cells and flags share one insertion order; pairs share few distinct
-        # (result, flag) tails, so each is formatted once
-        tested = list(zip(matrix.cells.values(), matrix.flags.values()))
-        tails = {(r, flag): f"{name},{r.d_statistic:.6g},{r.p_value:.4f},{flag}"
-                 for r, flag in set(tested)}
-        _write_lines(out_dir / f"ks_{name}.csv", [
-            "year_a,year_b,dimension,d,p,flag",
-            *(f"{ya},{yb},{tails[key]}" for (ya, yb), key in zip(matrix.cells, tested))])
+        # cells and flags share one insertion order, and a result fixes its
+        # flag; pairs share few distinct results, so each tail is formatted once
+        tails = {r: f"{name},{r.d_statistic:.6g},{r.p_value:.4f},{flag}\n" for r, flag
+                 in dict.fromkeys(zip(matrix.cells.values(), matrix.flags.values()))}
+        with _replacing(out_dir / f"ks_{name}.csv") as fh:
+            fh.write("year_a,year_b,dimension,d,p,flag\n" + "".join(
+                f"{ya},{yb},{tails[r]}" for (ya, yb), r in matrix.cells.items()))
 
         if trends_possible:
             trend = stats.build_trend(buckets, dimension)

@@ -122,7 +122,8 @@ def _fields(line: str, fmt: str) -> tuple[str, str, str, str]:
         if len(parts) != 4:
             raise _Rejected(rec_id, REJECT_BAD_FIELDS,
                             f"expected 4 tab-separated fields, got {len(parts)}")
-        return rec_id, parts[1], parts[2], unescape_body(parts[3])
+        body = parts[3]
+        return rec_id, parts[1], parts[2], unescape_body(body) if "\\" in body else body
     try:
         obj = json.loads(line)
     # ValueError covers JSONDecodeError and integer literals over the
@@ -156,7 +157,7 @@ def _date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
-def _parse_line(raw_line: bytes, fmt: str) -> EmailRecord:
+def _parse_line(raw_line: bytes, fmt: str, dates: dict[str, dt.date]) -> EmailRecord:
     try:
         line = raw_line.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -168,13 +169,13 @@ def _parse_line(raw_line: bytes, fmt: str) -> EmailRecord:
         raise _Rejected("", REJECT_BAD_FIELDS, "record id contains a NUL, a tab, a line "
                         f"break or a lone surrogate, or is over {_MAX_ID_CHARS} characters")
     try:
-        compose_date, delivery_date = _date(compose), _date(delivery)
+        compose_date = dates.get(compose) or dates.setdefault(compose, _date(compose))
+        delivery_date = dates.get(delivery) or dates.setdefault(delivery, _date(delivery))
     except ValueError as exc:
         raise _Rejected(rec_id, REJECT_BAD_DATE, str(exc)) from None
     if delivery_date < compose_date:
         raise _Rejected(rec_id, REJECT_ORDER, "delivery precedes compose")
-    return EmailRecord(id=rec_id, compose_date=compose_date,
-                       delivery_date=delivery_date, body=body)
+    return EmailRecord(rec_id, compose_date, delivery_date, body)
 
 
 def parse_corpus(data: bytes | BinaryIO,
@@ -196,6 +197,7 @@ def parse_corpus(data: bytes | BinaryIO,
     stream = io.BytesIO(data) if isinstance(data, bytes) else data
     records: list[EmailRecord] = []
     rejections: list[RejectionReport] = []
+    dates: dict[str, dt.date] = {}  # every date string that parsed, to its date
     for line_no, raw_line in enumerate(stream, 1):
         if line_no == 1:
             raw_line = raw_line.removeprefix(b"\xef\xbb\xbf")
@@ -203,7 +205,7 @@ def parse_corpus(data: bytes | BinaryIO,
             continue
         raw_line = raw_line.removesuffix(b"\n").removesuffix(b"\r")
         try:
-            records.append(_parse_line(raw_line, fmt))
+            records.append(_parse_line(raw_line, fmt, dates))
         except _Rejected as rej:
             rec_id, code, detail = rej.args
             rejections.append(RejectionReport(

@@ -191,11 +191,11 @@ class CompiledMatcher(NamedTuple):
     ``scale_index[i]`` is the vector position of main term i's scale.
     Single-stem sequences live in ``singles``, longer ones in ``phrases``;
     ``phrase_heads`` holds the first stem of every multi-stem sequence so the
-    scorer can skip phrase lookups for most tokens; ``starts`` holds every
-    stem that can begin a match, the only positions the scorer visits.
+    scorer can skip phrase lookups for most tokens.
     ``stem_memo`` maps each token the scorer has seen to its stem, or to
     ``""`` when that is no stem of the lexicon; ``""`` is in no table, so it
-    matches nothing.
+    matches nothing, and the scorer visits only the positions whose stem is
+    non-empty.
     """
 
     main_terms: tuple[str, ...]
@@ -203,7 +203,6 @@ class CompiledMatcher(NamedTuple):
     singles: dict[str, int]
     phrases: dict[tuple[str, ...], int]
     phrase_heads: frozenset[str]
-    starts: frozenset[str]
     max_phrase_len: int
     warnings: list[CompileWarning]
     stem_memo: StemMemo
@@ -230,14 +229,12 @@ def compile_lexicon(lex: MoodLexicon) -> CompiledMatcher:
                 warnings.append(CompileWarning(term=entry.main_term,
                                                colliding_term=main_terms[first],
                                                sequence=seq))
-    heads = frozenset(seq[0] for seq in phrases)
     return CompiledMatcher(
         main_terms=main_terms,
         scale_index=tuple(SCALE_INDEX[e.scale] for e in lex.entries),
         singles=singles,
         phrases=phrases,
-        phrase_heads=heads,
-        starts=heads.union(singles),
+        phrase_heads=frozenset(seq[0] for seq in phrases),
         max_phrase_len=max(map(len, phrases), default=1),
         warnings=warnings,
         stem_memo=StemMemo(lexicon_stems(lex)),

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import compress
-from operator import add, itemgetter
+from itertools import compress, repeat
+from operator import add, itemgetter, mul, truediv
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import EmailRecord
@@ -26,7 +26,8 @@ def match_counts(stems: Sequence[str], matcher: CompiledMatcher) -> list[int]:
     The stem sequence is scanned left to right; at each position the longest
     matching stem sequence wins and is consumed whole (matches never
     overlap), otherwise the scan advances one stem. Only positions whose
-    stem can start a match are visited.
+    stem is non-empty are visited: the stem memo maps a token that can
+    reach no lexicon stem to ``""``, which is in no table.
     """
     counts = [0] * len(matcher.main_terms)
     singles = matcher.singles
@@ -35,7 +36,7 @@ def match_counts(stems: Sequence[str], matcher: CompiledMatcher) -> list[int]:
     max_len = matcher.max_phrase_len
     n = len(stems)
     end = 0  # positions before end were consumed by a phrase
-    for i in compress(range(n), map(matcher.starts.__contains__, stems)):
+    for i in compress(range(n), stems):
         if i < end:
             continue
         stem = stems[i]
@@ -75,14 +76,14 @@ def score_record(rec: EmailRecord, matcher: CompiledMatcher,
         tokens = tokenize(rec.body)
     stems = list(map(matcher.stem_memo.__getitem__, tokens))
     counts = match_counts(stems, matcher)
-    components = [0.0] * len(SCALES)
-    for main_idx, c in enumerate(counts):
-        if c:
-            components[matcher.scale_index[main_idx]] += c
+    # int scale sums, so each float below is the one a float fold of them gives
+    sums = [0] * len(SCALES)
+    for main_idx in compress(range(len(counts)), counts):
+        sums[matcher.scale_index[main_idx]] += counts[main_idx]
     # a zero-match row has norm 0; dividing by 1.0 keeps it all 0.0
-    norm = math.sqrt(sum(c * c for c in components)) or 1.0
+    norm = math.sqrt(sum(map(mul, sums, sums))) or 1.0
     return ScoredRecord(rec.id, rec.delivery_year,
-                        tuple(c / norm for c in components), sum(counts))
+                        tuple(map(truediv, sums, repeat(norm, len(SCALES)))), sum(sums))
 
 
 class YearBucket(NamedTuple):

@@ -171,13 +171,12 @@ def pairwise_ks(buckets: dict[int, YearBucket], dimension: MoodScale,
     for a, (row, col, n) in enumerate(zip(gaps, zip(*gaps), sizes), start=1):
         keys += zip(map(max, row[a:], col[a:]), itertools.repeat(n), sizes[a:])
     # a result and its flag depend only on (d_num, n, m): one of each per key
-    results: dict[tuple[int, int, int], tuple[KsResult, str]] = {}
-    for key in dict.fromkeys(keys):
-        result = _ks_result(*key)
-        results[key] = result, classify_p(result.p_value, alpha_significant, alpha_marginal)
+    results = {key: _ks_result(*key) for key in dict.fromkeys(keys)}
+    flags = {key: classify_p(r.p_value, alpha_significant, alpha_marginal)
+             for key, r in results.items()}
     pairs = list(itertools.combinations(years, 2))
-    cells, flags = zip(*map(results.__getitem__, keys))
-    return SignificanceMatrix(dict(zip(pairs, cells)), dict(zip(pairs, flags)))
+    return SignificanceMatrix(dict(zip(pairs, map(results.__getitem__, keys))),
+                              dict(zip(pairs, map(flags.__getitem__, keys))))
 
 
 def zscore_series(values: Sequence[float]) -> tuple[list[float], bool]:

@@ -59,6 +59,15 @@ def _spec_scale(key: str) -> MoodScale:
         raise ValueError(f"unknown scale in {key!r}") from None
 
 
+def _spec_number(key: str, value: str, kind: type[int] | type[float]) -> int | float:
+    """kind(value), or a ValueError naming the key and the value."""
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {noun}, got {value!r}") from None
+
+
 def parse_synth_spec(pairs: dict[str, str]) -> dict:
     """generate_corpus keyword arguments, all but the lexicon, from the
     ``key = value`` pairs of a synth spec file. Raises ValueError on an
@@ -72,7 +81,7 @@ def parse_synth_spec(pairs: dict[str, str]) -> dict:
         if key.startswith("trend."):
             trend_specs[_spec_scale(key)] = value
         elif key.startswith("noise_sd."):
-            noise_by_scale[_spec_scale(key)] = float(value)
+            noise_by_scale[_spec_scale(key)] = _spec_number(key, value, float)
         elif key in known:
             plain[key] = value
         else:
@@ -94,15 +103,17 @@ def parse_synth_spec(pairs: dict[str, str]) -> dict:
     for scale in noise_by_scale:
         if scale not in trend_specs:
             raise ValueError(f"noise_sd.{scale} has no trend.{scale} line")
-    default_noise = _check_noise_sd(float(plain.get("noise_sd", "0")))
+    default_noise = _check_noise_sd(_spec_number("noise_sd", plain.get("noise_sd", "0"), float))
     return {
         "specs": [make_trend_spec(scale, expr,
                                   noise_sd=noise_by_scale.get(scale, default_noise))
                   for scale, expr in trend_specs.items()],
         "years": range(year_lo, year_hi + 1),
-        "emails_per_year": int(plain.get("emails_per_year", "10")),
-        "origin_year": int(plain["origin_year"]) if "origin_year" in plain else None,
-        "seed": int(plain.get("seed", "0")),
+        "emails_per_year": _spec_number("emails_per_year",
+                                        plain.get("emails_per_year", "10"), int),
+        "origin_year": (_spec_number("origin_year", plain["origin_year"], int)
+                        if "origin_year" in plain else None),
+        "seed": _spec_number("seed", plain.get("seed", "0"), int),
     }
 
 

@@ -1,11 +1,20 @@
-"""Stem-sequence scanner that visits every position.
+"""Stem-sequence scanner that visits every position, and the scorer that
+folds its counts into floats.
 
-The ``while`` loop ``moodtrends.scoring.match_counts`` used before it learned
-to visit only the positions whose stem can start a match; kept here as the
-reference for that scan.
+``match_counts`` is the ``while`` loop ``moodtrends.scoring.match_counts``
+used before it learned to skip positions; kept here as the reference for
+that scan. ``score_record`` is the scorer before its scale sums became ints:
+it stems every token with ``porter_stem`` and sums, squares and divides in
+floats.
 """
 
 from __future__ import annotations
+
+import math
+
+from moodtrends.lexicon import SCALES
+from moodtrends.scoring import ScoredRecord
+from moodtrends.textproc import porter_stem
 
 
 def match_counts(stems, matcher) -> list[int]:
@@ -34,3 +43,14 @@ def match_counts(stems, matcher) -> list[int]:
             counts[idx] += 1
         i += 1
     return counts
+
+
+def score_record(rec, matcher, tokens) -> ScoredRecord:
+    counts = match_counts([porter_stem(t) for t in tokens], matcher)
+    components = [0.0] * len(SCALES)
+    for main_idx, c in enumerate(counts):
+        if c:
+            components[matcher.scale_index[main_idx]] += c
+    norm = math.sqrt(sum(c * c for c in components)) or 1.0
+    return ScoredRecord(rec.id, rec.delivery_year,
+                        tuple(c / norm for c in components), sum(counts))

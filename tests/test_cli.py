@@ -919,13 +919,21 @@ def test_lexicon_rule_error_line(tmp_path, capsys, line, message):
     ("seed = 1", "noise_sd.anger = 5", "noise_sd.anger has no trend.anger line"),
     ("seed = 1", "noise_sd.vigor = 0\nnoise_sd = inf", "noise_sd must be finite, got inf"),
     ("seed = 1", "noise_sd.vigor = 0\nnoise_sd = -1", "noise_sd must be >= 0"),
+    ("emails_per_year = 2", "emails_per_year = ten",
+     "emails_per_year must be an integer, got 'ten'"),
+    ("seed = 1", "seed = 1.5", "seed must be an integer, got '1.5'"),
+    ("seed = 1", "origin_year = abc", "origin_year must be an integer, got 'abc'"),
+    ("seed = 1", "noise_sd = x", "noise_sd must be a number, got 'x'"),
+    ("seed = 1", "noise_sd.vigor = x", "noise_sd.vigor must be a number, got 'x'"),
 ], ids=["unknown-key", "unknown-scale", "missing-years", "bad-years", "empty-range",
         "year-zero", "huge-year-span",
         "no-trend", "bad-expression", "bad-arguments", "unknown-profile",
         "step-arity", "linear-arity", "negative-noise", "negative-scale-noise",
         "infinite-noise", "nan-noise", "infinite-scale-noise", "nan-scale-noise",
         "repeated-trend", "repeated-years", "no-emails", "orphan-scale-noise",
-        "infinite-noise-all-scales-set", "negative-noise-all-scales-set"])
+        "infinite-noise-all-scales-set", "negative-noise-all-scales-set",
+        "word-emails", "fractional-seed", "word-origin-year", "word-noise",
+        "word-scale-noise"])
 def test_synth_spec_rule_error_line(tmp_path, capsys, old, new, message):
     spec = tmp_path / "bad.spec"
     spec.write_text(SYNTH_BASE.replace(old, new))

@@ -100,6 +100,26 @@ class TestParseCorpus:
         _, rejections = parse_corpus(data)
         assert rejections[0].code == REJECT_BAD_DATE
 
+    def test_lines_sharing_date_strings(self):
+        # a date string that parsed is reused by later lines; one that failed
+        # is parsed again, so each of its lines is its own rejection
+        bad = "2009-02-30"
+        with pytest.raises(ValueError) as exc:
+            dt.date.fromisoformat(bad)
+        bodies = ["plain words", "tab\\there\\nand \\\\ a \\q", "trailing \\"]
+        lines = [tsv_line("a1", delivery=" 2009-01-01 ", body=bodies[0]),
+                 tsv_line("b1", compose=bad),
+                 tsv_line("a2", delivery="2009-01-01", body=bodies[1]),
+                 tsv_line("b2", delivery=bad),
+                 tsv_line("a3", delivery=" 2009-01-01 ", body=bodies[2]),
+                 tsv_line("b3", compose=bad, delivery=bad)]
+        records, rejections = parse_corpus("\n".join(lines).encode())
+        assert rejections == [(line_no, rec_id, REJECT_BAD_DATE, str(exc.value))
+                              for line_no, rec_id in [(2, "b1"), (4, "b2"), (6, "b3")]]
+        assert [(r.id, r.compose_date, r.delivery_date, r.body) for r in records] == [
+            (f"a{i}", dt.date(2006, 3, 1), dt.date(2009, 1, 1), unescape_body(body))
+            for i, body in enumerate(bodies, start=1)]
+
     def test_jsonl_roundtrip(self):
         obj = {"id": "j1", "compose_date": "2006-05-05",
                "delivery_date": "2008-01-02", "body": "see you\nlater"}

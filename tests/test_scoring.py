@@ -48,11 +48,12 @@ dazed | confusion | fed up again
 SCAN_MATCHERS = (compile_lexicon(load_default_lexicon()),
                  compile_lexicon(load_lexicon(NESTED.splitlines())))
 # stem chunks of both lexicons: every single, every phrase and every proper
-# phrase prefix, plus stems that start no match
+# phrase prefix, plus stems that start no match and the stem memo's "" for a
+# token that reaches no lexicon stem
 STEM_CHUNKS = sorted(
     {(s,) for m in SCAN_MATCHERS for s in m.singles}
     | {p[:k] for m in SCAN_MATCHERS for p in m.phrases for k in range(1, len(p) + 1)}
-    | {("tabl",), ("the",), ("zzz",)})
+    | {("tabl",), ("the",), ("zzz",), ("",)})
 
 
 def term_counts(tokens, matcher) -> dict[str, int]:
@@ -122,6 +123,8 @@ class TestScoreTokens:
     @example([("full",), ("of", "two", "mind")])
     # a phrase inside a longer one (NESTED)
     @example([("on", "edg", "again"), ("on", "edg"), ("of", "seat")])
+    # a phrase broken by a token the memo maps to ""
+    @example([("lost",), ("",), ("momentum",)])
     @settings(max_examples=500)
     def test_matches_full_scan_reference(self, chunks):
         stems = [s for chunk in chunks for s in chunk]
@@ -369,6 +372,33 @@ class TestStemMemo:
             sys.setswitchinterval(interval)
         assert rows == serial
         assert set(shared.stem_memo.values()) <= lexicon_stem_set(shared) | {""}
+
+
+# surface forms that stem like lexicon words: Porter strips these endings
+INFLECTIONS = ("", "s", "ed", "ing", "ly", "ness", "er", "est")
+# one matcher per lexicon, its stem memo filled across examples as a run fills it
+SCORE_MATCHERS = tuple(map(compile_lexicon, MEMO_LEXICONS))
+
+
+class TestScoreRecord:
+    """score_record sums counts per scale as ints; its rows are those of the
+    float fold over every token's Porter stem."""
+
+    @given(st.lists(st.one_of(
+        st.builds(str.__add__, st.sampled_from(LEXICON_TEXT), st.sampled_from(INFLECTIONS)),
+        st.sampled_from(APOSTROPHE_FORMS), st.sampled_from(VOCABULARY)), max_size=40))
+    # zero-match rows
+    @example([])
+    @example(["the", "table's", "zzz", "fully"])
+    # several hits on one scale and on several
+    @example(["angry"] * 7 + ["sad", "sadness", "tense"] * 3 + ["lost", "momentum"])
+    @settings(max_examples=300)
+    def test_equals_float_fold_reference(self, words):
+        rec = make_record(" ".join(words))
+        tokens = tokenize(rec.body)
+        for matcher in SCORE_MATCHERS:
+            assert (score_record(rec, matcher, tokens)
+                    == match_reference.score_record(rec, matcher, tokens))
 
 
 class TestYearBucket:
