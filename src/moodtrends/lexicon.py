@@ -149,12 +149,6 @@ def load_default_lexicon() -> MoodLexicon:
     return load_lexicon(text.splitlines())
 
 
-def lexicon_stems(lex: MoodLexicon) -> frozenset[str]:
-    """The stem of every word of every main term and extended phrase."""
-    return frozenset(porter_stem(w) for e in lex.entries
-                     for phrase in (e.main_term, *e.extended) for w in tokenize(phrase))
-
-
 class StemMemo(dict):
     """Token -> its stem if that is one of ``stems``, else ``""``; filled on
     first lookup.
@@ -237,5 +231,6 @@ def compile_lexicon(lex: MoodLexicon) -> CompiledMatcher:
         phrase_heads=frozenset(seq[0] for seq in phrases),
         max_phrase_len=max(map(len, phrases), default=1),
         warnings=warnings,
-        stem_memo=StemMemo(lexicon_stems(lex)),
+        # a colliding sequence is already a key: every term's stems are here
+        stem_memo=StemMemo(frozenset(singles).union(*phrases)),
     )

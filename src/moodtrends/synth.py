@@ -3,7 +3,8 @@
 Bodies are built from lexicon terms of the planted scales (one scored match
 per sampled term, phrases kept contiguous) separated by neutral filler words
 whose stems never appear in the lexicon, so expected match counts equal the
-planted intensities exactly.
+planted intensities exactly; a term is planted only if the compiled lexicon
+scores it for its own scale.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from typing import Callable, NamedTuple, Sequence
 
 from .corpus import EmailRecord, load_word_list
-from .lexicon import MoodLexicon, MoodScale, lexicon_stems
+from .lexicon import CompiledMatcher, MoodLexicon, MoodScale, compile_lexicon
 from .textproc import porter_stem, tokenize
 
 
@@ -98,6 +99,11 @@ def parse_synth_spec(pairs: dict[str, str]) -> dict:
     if year_lo < dt.MINYEAR or year_hi > dt.MAXYEAR:
         raise ValueError(f"years must lie in {dt.MINYEAR}-{dt.MAXYEAR}, "
                          f"got {plain['years']!r}")
+    origin_year = (_spec_number("origin_year", plain["origin_year"], int)
+                   if "origin_year" in plain else None)
+    if origin_year is not None and not dt.MINYEAR <= origin_year <= dt.MAXYEAR:
+        raise ValueError(f"origin_year must lie in {dt.MINYEAR}-{dt.MAXYEAR}, "
+                         f"got {plain['origin_year']!r}")
     if not trend_specs:
         raise ValueError("synth spec defines no trend.<scale> lines")
     for scale in noise_by_scale:
@@ -111,8 +117,7 @@ def parse_synth_spec(pairs: dict[str, str]) -> dict:
         "years": range(year_lo, year_hi + 1),
         "emails_per_year": _spec_number("emails_per_year",
                                         plain.get("emails_per_year", "10"), int),
-        "origin_year": (_spec_number("origin_year", plain["origin_year"], int)
-                        if "origin_year" in plain else None),
+        "origin_year": origin_year,
         "seed": _spec_number("seed", plain.get("seed", "0"), int),
     }
 
@@ -149,12 +154,16 @@ _FUNCTION_FILLERS = (
 )
 
 
-def _scale_terms(lexicon: MoodLexicon) -> dict[MoodScale, list[str]]:
-    by_scale: dict[MoodScale, list[str]] = {}
-    for entry in lexicon.entries:
-        bucket = by_scale.setdefault(entry.scale, [])
-        bucket.append(entry.main_term)
-        bucket.extend(entry.extended)
+def _scale_terms(lexicon: MoodLexicon, matcher: CompiledMatcher) -> dict[MoodScale, list[str]]:
+    # the main terms and phrases whose stem sequence the matcher credits to a
+    # main term of the entry's own scale; porter_stem is warm from compiling
+    by_scale: dict[MoodScale, list[str]] = {scale: [] for scale in MoodScale}
+    for entry, scale_idx in zip(lexicon.entries, matcher.scale_index):
+        for term in (entry.main_term, *entry.extended):
+            seq = tuple(map(porter_stem, tokenize(term)))
+            owner = matcher.singles[seq[0]] if len(seq) == 1 else matcher.phrases[seq]
+            if matcher.scale_index[owner] == scale_idx:
+                by_scale[entry.scale].append(term)
     return by_scale
 
 
@@ -183,7 +192,8 @@ def generate_corpus(specs: Sequence[TrendSpec], years: Sequence[int],
 
     For each (year, email) a per-scale target intensity profile(i) +
     gauss(0, noise_sd) is drawn, clamped at zero and rounded to a term
-    count; that many terms are sampled from the scale's lexicon entries.
+    count; that many terms are sampled from the scale's terms that the
+    compiled lexicon scores for it (a scale with none raises ValueError).
     A count that is not finite or exceeds MAX_TERMS_PER_SCALE, or more than
     MAX_SYNTH_RECORDS letters in all, raises ValueError. Documents are
     composed in origin_year and delivered in the bucket year.
@@ -211,17 +221,16 @@ def generate_corpus(specs: Sequence[TrendSpec], years: Sequence[int],
         origin_year = years[0]
     if origin_year > years[0]:
         raise ValueError("origin_year must not exceed the first bucket year")
-    terms_by_scale = _scale_terms(lexicon)
-    seen_dims = set()
-    for spec in specs:
-        if not terms_by_scale.get(spec.dimension):
-            raise ValueError(f"no lexicon entries for scale {spec.dimension}")
-        if spec.dimension in seen_dims:
-            raise ValueError(f"duplicate trend spec for {spec.dimension}")
-        seen_dims.add(spec.dimension)
-    used = lexicon_stems(lexicon)
-    nouns = _safe_fillers(used, load_word_list("filler_words"))
-    function_fillers = _safe_fillers(used, _FUNCTION_FILLERS)
+    matcher = compile_lexicon(lexicon)
+    terms_by_scale = _scale_terms(lexicon, matcher)
+    dims = [spec.dimension for spec in specs]
+    for i, dim in enumerate(dims):
+        if not terms_by_scale[dim]:
+            raise ValueError(f"no lexicon term scores for scale {dim}")
+        if dim in dims[:i]:
+            raise ValueError(f"duplicate trend spec for {dim}")
+    nouns = _safe_fillers(matcher.stem_memo.stems, load_word_list("filler_words"))
+    function_fillers = _safe_fillers(matcher.stem_memo.stems, _FUNCTION_FILLERS)
 
     n_function, n_nouns = len(function_fillers), len(nouns)
     k_function, k_nouns = n_function.bit_length(), n_nouns.bit_length()

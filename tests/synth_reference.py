@@ -12,6 +12,7 @@ import datetime as dt
 import random
 
 from moodtrends.corpus import EmailRecord, load_word_list
+from moodtrends.lexicon import compile_lexicon
 from moodtrends.synth import _FUNCTION_FILLERS, _safe_fillers, _scale_terms
 from moodtrends.textproc import porter_stem, tokenize
 
@@ -21,9 +22,11 @@ def generate_corpus(specs, years, emails_per_year, lexicon, seed,
     years = sorted(years)
     if origin_year is None:
         origin_year = years[0]
-    terms_by_scale = _scale_terms(lexicon)
-    used = {porter_stem(t) for terms in terms_by_scale.values()
-            for term in terms for t in tokenize(term)}
+    terms_by_scale = _scale_terms(lexicon, compile_lexicon(lexicon))
+    # every stem of every main term and phrase, stemmed again here so that
+    # the oracle checks the set compile_lexicon gives the stem memo
+    used = {porter_stem(t) for e in lexicon.entries
+            for term in (e.main_term, *e.extended) for t in tokenize(term)}
     nouns = _safe_fillers(used, load_word_list("filler_words"))
     function_fillers = _safe_fillers(used, _FUNCTION_FILLERS)
 

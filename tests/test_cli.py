@@ -925,6 +925,8 @@ def test_lexicon_rule_error_line(tmp_path, capsys, line, message):
     ("seed = 1", "origin_year = abc", "origin_year must be an integer, got 'abc'"),
     ("seed = 1", "noise_sd = x", "noise_sd must be a number, got 'x'"),
     ("seed = 1", "noise_sd.vigor = x", "noise_sd.vigor must be a number, got 'x'"),
+    ("seed = 1", "origin_year = 0", "origin_year must lie in 1-9999, got '0'"),
+    ("seed = 1", "origin_year = 10000", "origin_year must lie in 1-9999, got '10000'"),
 ], ids=["unknown-key", "unknown-scale", "missing-years", "bad-years", "empty-range",
         "year-zero", "huge-year-span",
         "no-trend", "bad-expression", "bad-arguments", "unknown-profile",
@@ -933,7 +935,7 @@ def test_lexicon_rule_error_line(tmp_path, capsys, line, message):
         "repeated-trend", "repeated-years", "no-emails", "orphan-scale-noise",
         "infinite-noise-all-scales-set", "negative-noise-all-scales-set",
         "word-emails", "fractional-seed", "word-origin-year", "word-noise",
-        "word-scale-noise"])
+        "word-scale-noise", "origin-year-zero", "origin-year-too-late"])
 def test_synth_spec_rule_error_line(tmp_path, capsys, old, new, message):
     spec = tmp_path / "bad.spec"
     spec.write_text(SYNTH_BASE.replace(old, new))

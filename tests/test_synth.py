@@ -122,6 +122,31 @@ class TestGenerateCorpus:
             assert not {"garden", "with", "kitchen"} & set(tokenize(rec.body))
             assert score_record(rec, matcher).match_count == 2
 
+    def test_colliding_term_never_planted(self):
+        # tensing stems to tense's stem, which the earlier tension entry
+        # claims, so a planted tensing would score tension, not vigor
+        lexicon = load_lexicon([
+            "tense | tension", "gloomy | depression", "angry | anger",
+            "calm | vigor | tensing", "weary | fatigue", "puzzled | confusion",
+        ])
+        records = generate_corpus([make_trend_spec(MoodScale.VIGOR, "linear(1, 1)")],
+                                  range(2010, 2014), 10, lexicon, seed=2)
+        matcher = compile_lexicon(lexicon)
+        assert len(records) == 40
+        for rec in records:
+            row = score_record(rec, matcher)
+            assert row.match_count == rec.delivery_year - 2010 + 1
+            assert row.components == (0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+
+    def test_scale_whose_every_term_collides_rejected(self):
+        lexicon = load_lexicon([
+            "tense | tension", "gloomy | depression", "angry | anger",
+            "tensing | vigor | tenses", "weary | fatigue", "puzzled | confusion",
+        ])
+        with pytest.raises(ValueError, match="^no lexicon term scores for scale vigor$"):
+            generate_corpus([make_trend_spec(MoodScale.VIGOR, "constant(1)")],
+                            YEARS, 1, lexicon, seed=0)
+
     def test_null_corpus_identical_vectors_and_no_flags(self, default_lexicon, matcher):
         specs = [
             make_trend_spec(MoodScale.DEPRESSION, "constant(2)"),
