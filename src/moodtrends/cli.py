@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import corpus as corpus_mod
 from . import scoring, stats, svg, synth
@@ -112,14 +112,19 @@ def _load_lexicon(path):
         return load_lexicon_file(path)
 
 
-def _load_matcher(cfg: PipelineConfig):
-    if not cfg.lexicon_path:
-        raise UsageError("no lexicon path given (flag --lexicon or config lexicon_path)")
-    matcher = compile_lexicon(_load_lexicon(cfg.lexicon_path))
+def _compile_lexicon(lexicon):
+    """compile_lexicon, printing each of its stem-collision warnings to stderr."""
+    matcher = compile_lexicon(lexicon)
     for w in matcher.warnings:
         print(f"lexicon-warning\tstem-collision\t{w.term}\t{w.colliding_term}\t"
               f"{' '.join(w.sequence)}", file=sys.stderr)
     return matcher
+
+
+def _load_matcher(cfg: PipelineConfig):
+    if not cfg.lexicon_path:
+        raise UsageError("no lexicon path given (flag --lexicon or config lexicon_path)")
+    return _compile_lexicon(_load_lexicon(cfg.lexicon_path))
 
 
 def _score_chain(cfg: PipelineConfig):
@@ -145,9 +150,9 @@ def _buckets_json(buckets: dict[int, YearBucket]) -> dict:
     for year, b in buckets.items():
         out[str(year)] = {
             "year": year,
-            "count": len(b.vectors),
+            "count": len(b.rows),
             "zero_match_count": b.zero_match_count,
-            "mean_vector": [repr(b.mean(s)) for s in SCALES] if b.vectors else None,
+            "mean_vector": [repr(b.mean(s)) for s in SCALES] if b.rows else None,
         }
     return out
 
@@ -213,14 +218,14 @@ def cmd_score(args: argparse.Namespace) -> None:
           f"scored: {len(rows)}  zero-match: {zero_total}")
 
 
-def _read_scores_csv(path) -> list[ScoredRecord]:
+def _read_scores_csv(path) -> Iterator[ScoredRecord]:
     with _reading("scores", path):
         reader = csv.reader(io.StringIO(Path(path).read_bytes().decode("utf-8-sig"), newline=""))
     try:
         header = next(reader, [])
         if header != SCORES_HEADER:
             raise DataError(f"unexpected scores.csv header: {','.join(header)!r}")
-        return [_scores_row(row) for row in reader if row]
+        yield from map(_scores_row, filter(None, reader))
     except (csv.Error, ValueError) as exc:
         raise DataError(f"bad scores.csv line {reader.line_num}: {exc}") from None
 
@@ -247,12 +252,12 @@ def _scores_row(row: list[str]) -> ScoredRecord:
 def cmd_analyze(args: argparse.Namespace) -> None:
     cfg = _build_config(args)
     if args.scores:
-        rows = [row for row in _read_scores_csv(args.scores)
-                if cfg.in_range(row.delivery_year)]
+        rows = (row for row in _read_scores_csv(args.scores)
+                if cfg.in_range(row.delivery_year))
     else:
         *_, rows = _score_chain(cfg)
     buckets = bucket_scores(rows)
-    non_empty = [y for y, b in buckets.items() if b.vectors]
+    non_empty = [y for y, b in buckets.items() if b.rows]
     if len(non_empty) < 2:
         raise DataError(f"need at least two non-empty year buckets, got {len(non_empty)}")
 
@@ -305,6 +310,7 @@ def cmd_analyze(args: argparse.Namespace) -> None:
 
 def cmd_synth(args: argparse.Namespace) -> None:
     lexicon = _load_lexicon(args.lexicon) if args.lexicon else load_default_lexicon()
+    _compile_lexicon(lexicon)  # for its warnings; generate_corpus compiles its own
     try:
         with _reading("synth spec", args.spec):
             pairs = parse_kv_file(args.spec)

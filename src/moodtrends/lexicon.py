@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import pkgutil
-import string
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -165,7 +164,7 @@ class StemMemo(dict):
         # over a few of them; an empty prefix (of stem e, i or l) begins any word
         self._prefixes: dict[str, tuple[str, ...]] = {}
         for prefix in sorted(map(porter.stem_prefix, stems)):
-            for initial in prefix[:1] or string.ascii_lowercase:
+            for initial in prefix[:1] or "abcdefghijklmnopqrstuvwxyz":
                 self._prefixes[initial] = self._prefixes.get(initial, ()) + (prefix,)
 
     def __missing__(self, token: str) -> str:

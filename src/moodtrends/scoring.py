@@ -1,13 +1,13 @@
 """Document scoring: tokens -> stems -> longest-match-first main-term counts
--> unit-normalized six-vector, and per-delivery-year buckets holding those
-vectors as one tuple of six-float tuples per year."""
+-> unit-normalized six-vector, and per-delivery-year buckets holding each
+year's matched rows."""
 
 from __future__ import annotations
 
 import math
 from functools import reduce
 from itertools import compress, repeat
-from operator import add, itemgetter, mul, truediv
+from operator import add, mul, truediv
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import EmailRecord
@@ -87,41 +87,41 @@ def score_record(rec: EmailRecord, matcher: CompiledMatcher,
 
 
 class YearBucket(NamedTuple):
-    """The unit vectors of one delivery year, each a tuple of six floats in
-    scale order, plus the number of its documents with no lexicon hit.
+    """The matched rows of one delivery year in input order, each with six
+    float components, plus the number of its documents with no lexicon hit.
     Fields are stored as given; `bucket_scores` converts and checks them."""
 
-    vectors: tuple[tuple[float, ...], ...] = ()
+    rows: tuple[ScoredRecord, ...] = ()
     zero_match_count: int = 0
 
     def components(self, scale: MoodScale) -> tuple[float, ...]:
-        return tuple(map(itemgetter(SCALE_INDEX[scale]), self.vectors))
+        index = SCALE_INDEX[scale]
+        return tuple([row.components[index] for row in self.rows])
 
     def mean(self, scale: MoodScale) -> float:
-        """The left-to-right mean of one scale's components; the year needs vectors."""
-        return plain_sum(self.components(scale)) / len(self.vectors)
+        """The left-to-right mean of one scale's components; the year needs rows."""
+        return plain_sum(self.components(scale)) / len(self.rows)
 
 
 def bucket_scores(rows: Iterable[ScoredRecord]) -> dict[int, YearBucket]:
-    """Group scored rows by delivery year, each vector as a tuple of six floats.
+    """Group scored rows by delivery year, each kept row's components as six floats.
 
-    Zero-match rows are counted per bucket but contribute no vector. A
-    vector without six components is a ValueError.
-    """
-    vectors: dict[int, list[tuple[float, ...]]] = {}
+    Zero-match rows are counted per bucket but not kept; a row without six
+    components is a ValueError."""
+    kept: dict[int, list[ScoredRecord]] = {}
     zeros: dict[int, int] = {}
     for row in rows:
-        year = row.delivery_year
-        year_vectors = vectors.setdefault(year, [])
-        if row.match_count == 0:
+        rec_id, year, components, match_count = row
+        year_rows = kept.setdefault(year, [])
+        if match_count == 0:
             zeros[year] = zeros.get(year, 0) + 1
             continue
-        vector = tuple(map(float, row.components))
-        if len(vector) != len(SCALES):
+        floats = tuple(map(float, components))
+        if len(floats) != len(SCALES):
             raise ValueError(f"every vector needs {len(SCALES)} components")
-        year_vectors.append(vector)
-    return {year: YearBucket(tuple(vecs), zeros.get(year, 0))
-            for year, vecs in vectors.items()}
+        year_rows.append(ScoredRecord(rec_id, year, floats, match_count))
+    return {year: YearBucket(tuple(year_rows), zeros.get(year, 0))
+            for year, year_rows in kept.items()}
 
 
 def score_corpus(records: Iterable[EmailRecord],

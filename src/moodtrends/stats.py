@@ -159,8 +159,8 @@ def pairwise_ks(buckets: dict[int, YearBucket], dimension: MoodScale,
                 alpha_marginal: float = ALPHA_MARGINAL) -> SignificanceMatrix:
     """Run the KS test on the per-document components of one dimension for
     every unordered pair of years with non-empty buckets. Years whose bucket
-    holds no vectors are skipped."""
-    years = [y for y in sorted(buckets) if buckets[y].vectors]
+    holds no rows are skipped."""
+    years = [y for y in sorted(buckets) if buckets[y].rows]
     if len(years) < 2:
         raise ValueError("need at least two non-empty year buckets")
     tables = [_step_table(buckets[y].components(dimension)) for y in years]
@@ -246,7 +246,7 @@ class TrendSeries(NamedTuple):
 
 def build_trend(buckets: dict[int, YearBucket], dimension: MoodScale) -> TrendSeries:
     """Per-year means -> z-scores -> quadratic fit on centered year indices."""
-    years = sorted(y for y, b in buckets.items() if b.vectors)
+    years = sorted(y for y, b in buckets.items() if b.rows)
     if len(years) < 3:
         raise ValueError("need at least three non-empty year buckets")
     raw_means = [buckets[y].mean(dimension) for y in years]

@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from moodtrends.corpus import EmailRecord
 from moodtrends.lexicon import compile_lexicon, load_default_lexicon
+from moodtrends.scoring import ScoredRecord, YearBucket
 
 TESTS_DIR = Path(__file__).parent
 PORTER_DATA = TESTS_DIR / "data" / "porter"
@@ -47,6 +48,12 @@ def make_record(body: str, rec_id: str = "r1", compose: str = "2006-03-01",
         delivery_date=dt.date.fromisoformat(delivery),
         body=body,
     )
+
+
+def vector_bucket(vectors, zero_match_count: int = 0, year: int = 2010) -> YearBucket:
+    """A year bucket of one matched row per vector, its components stored as given."""
+    return YearBucket(tuple(ScoredRecord(f"d{i}", year, tuple(v), 1)
+                            for i, v in enumerate(vectors)), zero_match_count)
 
 
 @pytest.fixture

@@ -105,7 +105,7 @@ def test_c3_normalization(matcher, default_lexicon):
     worst = 0.0
     count = 0
     for bucket in buckets.values():
-        for vec in bucket.vectors:
+        for _, _, vec, _ in bucket.rows:
             worst = max(worst, abs(math.sqrt(sum(c * c for c in vec)) - 1.0))
             count += 1
     ok = exact and worst < 1e-9 and count > 100

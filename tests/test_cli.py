@@ -13,7 +13,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record, run_python
+from conftest import make_record, run_python, vector_bucket
 from moodtrends.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from moodtrends.corpus import FORMATS, format_record_line, parse_corpus, parse_corpus_file
 from moodtrends.lexicon import load_default_lexicon
@@ -162,6 +162,23 @@ class TestScoreCommand:
         assert rc == EXIT_OK
         err = capsys.readouterr().err
         assert "lexicon-warning\tstem-collision\tangry\ttense\tcross\n" in err
+
+    def test_synth_prints_the_stem_collision_warnings_score_prints(self, tmp_path, capsys):
+        # tensing stems to tense's stem, which the earlier tension entry claims
+        lexicon = tmp_path / "colliding_lexicon.txt"
+        lexicon.write_text("tense | tension\ngloomy | depression\nangry | anger\n"
+                           "calm | vigor | tensing\nweary | fatigue\npuzzled | confusion\n")
+        spec = tmp_path / "vigor.spec"
+        spec.write_text("years = 2010-2013\nemails_per_year = 10\nseed = 2\n"
+                        "trend.vigor = linear(1, 1)\n")
+        corpus = tmp_path / "c.tsv"
+        assert main(["synth", "--spec", str(spec), "--lexicon", str(lexicon),
+                     "--out", str(corpus)]) == EXIT_OK
+        synth_err = capsys.readouterr().err
+        assert "lexicon-warning\tstem-collision\tcalm\ttense\ttens\n" in synth_err
+        assert main(["score", "--corpus", str(corpus), "--lexicon", str(lexicon),
+                     "--output-dir", str(tmp_path / "o")]) == EXIT_OK
+        assert capsys.readouterr().err == synth_err
 
     def test_zero_match_corpus_reports_totals(self, tmp_path, capsys):
         records = [make_record("the kitchen table and the garden window again",
@@ -589,10 +606,10 @@ class TestSvgRendering:
     @staticmethod
     def _texts(n_years, flags=None):
         from moodtrends.lexicon import MoodScale
-        from moodtrends.scoring import YearBucket
         from moodtrends.stats import SignificanceMatrix, build_trend
         from moodtrends.svg import render_trend_svg
-        buckets = {2000 + i: YearBucket([[0.1 + (i * i % 7) / 10, 0, 0, 0, 0, 0]])
+        buckets = {2000 + i: vector_bucket([[0.1 + (i * i % 7) / 10, 0, 0, 0, 0, 0]],
+                                           year=2000 + i)
                    for i in range(n_years)}
         matrix = SignificanceMatrix({}, flags or {})
         doc = render_trend_svg(build_trend(buckets, MoodScale.TENSION), matrix)

@@ -1,12 +1,12 @@
 """Contracts of the record and config types: immutable named tuples, a
 config key table in field order, overrides that return a new config, and
-bucket_scores as the one place a year's vectors are converted and checked."""
+bucket_scores as the one place a year's rows are converted and checked."""
 
 from __future__ import annotations
 
 import pytest
 
-from conftest import make_record
+from conftest import make_record, vector_bucket
 from moodtrends.config import KEY_TYPES, PipelineConfig, apply_overrides
 from moodtrends.scoring import ScoredRecord, YearBucket, bucket_scores
 from moodtrends.stats import FLAG_NONE, KsResult, SignificanceMatrix
@@ -34,7 +34,7 @@ def test_apply_overrides_returns_new_config():
     (make_record("hope"), "body"),
     (ScoredRecord("a", 2010, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0), 1), "match_count"),
     (KsResult(0.5, 0.25, 3, 4), "p_value"),
-    (YearBucket(((1.0, 0.0, 0.0, 0.0, 0.0, 0.0),), 2), "zero_match_count"),
+    (vector_bucket([(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)], 2), "zero_match_count"),
     (SignificanceMatrix({}, {}), "flags"),
 ], ids=["PipelineConfig", "EmailRecord", "ScoredRecord", "KsResult", "YearBucket",
         "SignificanceMatrix"])
@@ -59,9 +59,10 @@ def test_records_unpack_and_compare_by_value():
 def test_bucket_scores_converts_and_checks_vectors():
     rows = [ScoredRecord("a", 2010, (1, 0, 0, 0, 0, 0), 1), ScoredRecord("b", 2010, (0,) * 6, 0)]
     bucket = bucket_scores(rows)[2010]
-    assert bucket == YearBucket(((1.0, 0.0, 0.0, 0.0, 0.0, 0.0),), 1)
-    assert type(bucket.vectors[0][0]) is float
+    assert bucket == YearBucket((ScoredRecord("a", 2010, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0), 1),), 1)
+    assert type(bucket.rows[0].components[0]) is float
     assert repr(bucket) == (
-        "YearBucket(vectors=((1.0, 0.0, 0.0, 0.0, 0.0, 0.0),), zero_match_count=1)")
+        "YearBucket(rows=(ScoredRecord(id='a', delivery_year=2010, "
+        "components=(1.0, 0.0, 0.0, 0.0, 0.0, 0.0), match_count=1),), zero_match_count=1)")
     with pytest.raises(ValueError, match="^every vector needs 6 components$"):
         bucket_scores([ScoredRecord("c", 2010, (0.0,) * 5, 1)])

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bucket_reference
 import match_reference
-from conftest import PORTER_DATA, make_record
+from conftest import PORTER_DATA, make_record, vector_bucket
 from moodtrends.lexicon import (SCALES, MoodScale, StemMemo, compile_lexicon,
                                 load_default_lexicon, load_lexicon)
-from moodtrends.scoring import (ScoredRecord, YearBucket, bucket_scores,
-                                match_counts, score_corpus, score_record)
+from moodtrends.scoring import (ScoredRecord, bucket_scores, match_counts, score_corpus,
+                                score_record)
 from moodtrends.textproc import porter_stem, tokenize
 
 SINGLES_ONLY = """\
@@ -192,11 +193,11 @@ class TestNormalize:
 
     def test_zero_vector_signals(self, singles_matcher):
         # no direction to normalize: flagged by match_count 0 and kept out
-        # of the bucket's vectors
+        # of the bucket's rows
         scored = score_counts((0, 0, 0, 0, 0, 0), singles_matcher)
         assert scored.match_count == 0
         bucket = bucket_scores([scored])[scored.delivery_year]
-        assert bucket.vectors == ()
+        assert bucket.rows == ()
         assert bucket.zero_match_count == 1
 
     def test_norm_within_tolerance(self, singles_matcher):
@@ -226,12 +227,12 @@ class TestScoreCorpus:
         buckets = score_corpus(records, matcher)
         assert set(buckets) == {2010}
         bucket = buckets[2010]
-        assert len(bucket.vectors) == 1
-        assert isinstance(bucket.vectors, tuple)
+        assert len(bucket.rows) == 1
+        assert isinstance(bucket.rows, tuple)
         assert all(isinstance(v, tuple) and len(v) == 6
-                   and all(type(c) is float for c in v) for v in bucket.vectors)
+                   and all(type(c) is float for c in v) for _, _, v, _ in bucket.rows)
         assert bucket.zero_match_count == 1
-        assert norm(bucket.vectors[0]) == pytest.approx(1.0)
+        assert norm(bucket.rows[0].components) == pytest.approx(1.0)
 
     def test_empty_input(self, matcher):
         assert score_corpus([], matcher) == {}
@@ -242,7 +243,7 @@ class TestScoreCorpus:
         records = [make_record(b, rec_id=f"r{i}", delivery=f"20{10 + i % 2}-01-0{i + 1}")
                    for i, b in enumerate(bodies)]
         buckets = score_corpus(records, matcher)
-        total = sum(len(b.vectors) for b in buckets.values())
+        total = sum(len(b.rows) for b in buckets.values())
         zeros = sum(b.zero_match_count for b in buckets.values())
         assert total + zeros == len(records)
 
@@ -253,7 +254,8 @@ class TestScoreCorpus:
         random.Random(5).shuffle(shuffled)
         b1 = score_corpus(records, matcher)[2012]
         b2 = score_corpus(shuffled, matcher)[2012]
-        assert sorted(b1.vectors) == sorted(b2.vectors)
+        assert (sorted(v for _, _, v, _ in b1.rows)
+                == sorted(v for _, _, v, _ in b2.rows))
         assert b1.zero_match_count == b2.zero_match_count
 
     def test_score_record_audit_fields(self, matcher):
@@ -401,6 +403,42 @@ class TestScoreRecord:
                     == match_reference.score_record(rec, matcher, tokens))
 
 
+class TestBucketScores:
+    """bucket_scores keeps each year's matched rows in input order, and its
+    buckets read the components the vector-form reference reads."""
+
+    @given(st.lists(st.tuples(
+        st.lists(st.one_of(st.sampled_from(LEXICON_TEXT), st.sampled_from(VOCABULARY)),
+                 max_size=12),
+        st.sampled_from((2007, 2008, 2010))), max_size=30))
+    @example([])
+    @example([(["the", "table"], 2008), (["sad", "angry"], 2008), (["zzz"], 2007)])
+    @settings(max_examples=200, deadline=None)
+    def test_rows_kept_in_input_order_and_read_as_reference(self, docs):
+        for matcher in SCORE_MATCHERS:
+            rows = [score_record(make_record(" ".join(words), rec_id=f"r{i}",
+                                             delivery=f"{year}-06-01"), matcher)
+                    for i, (words, year) in enumerate(docs)]
+            buckets = bucket_scores(rows)
+            reference = bucket_reference.bucket_scores(rows)
+            assert list(buckets) == list(reference)
+            for year, bucket in buckets.items():
+                year_rows = [r for r in rows if r.delivery_year == year]
+                matched = [r for r in year_rows if r.match_count]
+                assert ([(r.id, r.delivery_year, r.match_count) for r in bucket.rows]
+                        == [(r.id, r.delivery_year, r.match_count) for r in matched])
+                assert all(type(c) is float and len(r.components) == len(SCALES)
+                           for r in bucket.rows for c in r.components)
+                assert bucket.zero_match_count == len(year_rows) - len(matched)
+                vectors, zeros = reference[year]
+                assert zeros == bucket.zero_match_count
+                for s in SCALES:
+                    assert ([c.hex() for c in bucket.components(s)]
+                            == [c.hex() for c in bucket_reference.components(vectors, s)])
+                    if vectors:
+                        assert bucket.mean(s).hex() == bucket_reference.mean(vectors, s).hex()
+
+
 class TestYearBucket:
     @given(st.lists(st.lists(st.floats(-1e300, 1e300), min_size=6, max_size=6),
                     min_size=1, max_size=40))
@@ -408,7 +446,7 @@ class TestYearBucket:
     @settings(max_examples=300, deadline=None)
     def test_mean_matches_numpy_bit_for_bit(self, rows):
         expected = np.asarray(rows, dtype=np.float64).mean(axis=0).tolist()
-        bucket = YearBucket(rows)
+        bucket = vector_bucket(rows)
         got = [bucket.mean(s) for s in SCALES]
         assert [c.hex() for c in got] == [c.hex() for c in expected]
 

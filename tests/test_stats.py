@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_python
+from conftest import run_python, vector_bucket
 from ks_merge_reference import ks_key
 from ks_oracle import brute_perm_p, exact_perm_p, mc_perm_p, oracle_d
 from moodtrends import stats
@@ -28,11 +28,11 @@ def unit_vector(depression: float) -> tuple[float, ...]:
 
 
 def bucket_of(year: int, depressions: list[float]) -> YearBucket:
-    return YearBucket(vectors=[unit_vector(d) for d in depressions])
+    return vector_bucket([unit_vector(d) for d in depressions], year=year)
 
 
 def bucket_of_components(tensions: list[float]) -> YearBucket:
-    return YearBucket(vectors=[(t, 0.0, 0.0, 0.0, 0.0, 0.0) for t in tensions])
+    return vector_bucket([(t, 0.0, 0.0, 0.0, 0.0, 0.0) for t in tensions])
 
 
 class TestKsTwoSample:
@@ -402,7 +402,7 @@ class TestPairwiseKs:
     def test_empty_bucket_skipped_and_recorded(self):
         buckets = {
             2010: bucket_of(2010, [0.1, 0.2, 0.3]),
-            2011: YearBucket(vectors=[], zero_match_count=4),
+            2011: YearBucket(rows=(), zero_match_count=4),
             2012: bucket_of(2012, [0.15, 0.25, 0.35]),
         }
         matrix = pairwise_ks(buckets, MoodScale.DEPRESSION)
@@ -421,10 +421,11 @@ class TestPairwiseKs:
         child = (
             "import math\n"
             "from moodtrends.lexicon import MoodScale\n"
-            "from moodtrends.scoring import YearBucket\n"
+            "from moodtrends.scoring import ScoredRecord, YearBucket\n"
             "from moodtrends.stats import pairwise_ks\n"
             "def bucket(ts):\n"
-            "    return YearBucket(vectors=[(t, 0.0, 0.0, 0.0, 0.0, 0.0) for t in ts])\n"
+            "    return YearBucket(tuple(ScoredRecord(str(t), 2010, (t, 0.0, 0.0, 0.0, 0.0, 0.0),\n"
+            "                                         1) for t in ts))\n"
             "buckets = {2010: bucket([0.1, math.nan]), 2011: bucket([0.2, 0.3])}\n"
             "try:\n"
             "    pairwise_ks(buckets, MoodScale.TENSION)\n"
@@ -549,7 +550,7 @@ class TestBuildTrend:
             total = 0.0
             for v in samples:
                 total += v
-            bucket = YearBucket([unit_vector(v) for v in samples])
+            bucket = vector_bucket([unit_vector(v) for v in samples])
             assert bucket.mean(SCALES[1]) == total / n
 
     def test_needs_three_nonempty_years(self):

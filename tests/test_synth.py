@@ -155,7 +155,7 @@ class TestGenerateCorpus:
         records = generate_corpus(specs, range(2010, 2014), 8, default_lexicon,
                                   seed=5)
         buckets = score_corpus(records, matcher)
-        comps = {v for b in buckets.values() for v in b.vectors}
+        comps = {v for b in buckets.values() for _, _, v, _ in b.rows}
         assert len(comps) == 1  # every email scores (0, 2, 0, 3, 0, 0)/norm
         for dim in (MoodScale.DEPRESSION, MoodScale.VIGOR):
             matrix = pairwise_ks(buckets, dim)
@@ -169,7 +169,7 @@ class TestGenerateCorpus:
         # years below the step have intensity 0: no lexicon terms at all
         for year in (2010, 2011):
             assert buckets[year].zero_match_count == 6
-            assert buckets[year].vectors == ()
+            assert buckets[year].rows == ()
         for year in (2012, 2013):
             assert buckets[year].zero_match_count == 0
             assert all(c == 1.0 for c in buckets[year].components(MoodScale.FATIGUE))
