@@ -65,9 +65,11 @@ def _replacing(path: Path):
     """Writer for every output file: a text handle on the hidden sibling
     ``.<name>.tmp`` (parent directories are made as needed), moved onto path
     when the block ends. path holds either its old bytes or all of the new
-    ones; the temp file never outlives the block. A failed write is a
-    UsageError, since every output path comes from a flag or config value;
-    when the parent directory cannot be made, it names that directory."""
+    ones; the temp file never outlives the block. A failed write, or a path
+    with no file name, is a UsageError, as every output path comes from a
+    flag or config value; a parent directory that cannot be made is named."""
+    if not path.name:
+        raise UsageError(f"cannot write {path}: no file name")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

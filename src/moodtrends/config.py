@@ -45,6 +45,8 @@ class PipelineConfig(NamedTuple):
             raise ConfigError(f"english_threshold must be in [0, 1], got {self.english_threshold}")
         if self.top_n < 0:
             raise ConfigError("top_n must be >= 0")
+        if not self.output_dir:
+            raise ConfigError("output_dir must not be empty")
         for key in ("corpus_path", "lexicon_path", "output_dir"):
             if "\0" in (getattr(self, key) or ""):
                 raise ConfigError(f"{key} contains a NUL byte")
@@ -81,7 +83,8 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
     return pairs
 
 
-def _coerce(name: str, value: str, target_type: type) -> object:
+def coerce(name: str, value: str, target_type: type) -> object:
+    """value as target_type, else a ConfigError naming the key and the value."""
     try:
         return _BOOLS[value.lower()] if target_type is bool else target_type(value)
     except (KeyError, ValueError):
@@ -108,5 +111,5 @@ def apply_overrides(cfg: PipelineConfig, pairs: dict[str, str | None]) -> Pipeli
             continue
         if key not in KEY_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        changes[key] = _coerce(key, value, KEY_TYPES[key])
+        changes[key] = coerce(key, value, KEY_TYPES[key])
     return cfg._replace(**changes)

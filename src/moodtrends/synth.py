@@ -14,6 +14,7 @@ import math
 import random
 from typing import Callable, NamedTuple, Sequence
 
+from .config import coerce
 from .corpus import EmailRecord, load_word_list
 from .lexicon import CompiledMatcher, MoodLexicon, MoodScale, compile_lexicon
 from .textproc import porter_stem, tokenize
@@ -60,13 +61,9 @@ def _spec_scale(key: str) -> MoodScale:
         raise ValueError(f"unknown scale in {key!r}") from None
 
 
-def _spec_number(key: str, value: str, kind: type[int] | type[float]) -> int | float:
-    """kind(value), or a ValueError naming the key and the value."""
-    try:
-        return kind(value)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"{key} must be {noun}, got {value!r}") from None
+# every plain synth spec key with its value type, as config.KEY_TYPES
+_SPEC_KEY_TYPES: dict[str, type] = {"years": str, "emails_per_year": int,
+                                    "origin_year": int, "seed": int, "noise_sd": float}
 
 
 def parse_synth_spec(pairs: dict[str, str]) -> dict:
@@ -74,17 +71,16 @@ def parse_synth_spec(pairs: dict[str, str]) -> dict:
     ``key = value`` pairs of a synth spec file. Raises ValueError on an
     unknown key or scale, a bad value, a spec without a years line or
     without trend lines, or a noise_sd.<scale> line for an unplanted scale."""
-    known = {"years", "emails_per_year", "origin_year", "seed", "noise_sd"}
     trend_specs: dict[MoodScale, str] = {}
     noise_by_scale: dict[MoodScale, float] = {}
-    plain: dict[str, str] = {}
+    plain: dict = {}
     for key, value in pairs.items():
         if key.startswith("trend."):
             trend_specs[_spec_scale(key)] = value
         elif key.startswith("noise_sd."):
-            noise_by_scale[_spec_scale(key)] = _spec_number(key, value, float)
-        elif key in known:
-            plain[key] = value
+            noise_by_scale[_spec_scale(key)] = coerce(key, value, float)
+        elif key in _SPEC_KEY_TYPES:
+            plain[key] = coerce(key, value, _SPEC_KEY_TYPES[key])
         else:
             raise ValueError(f"unknown synth spec key {key!r}")
     if "years" not in plain:
@@ -99,26 +95,24 @@ def parse_synth_spec(pairs: dict[str, str]) -> dict:
     if year_lo < dt.MINYEAR or year_hi > dt.MAXYEAR:
         raise ValueError(f"years must lie in {dt.MINYEAR}-{dt.MAXYEAR}, "
                          f"got {plain['years']!r}")
-    origin_year = (_spec_number("origin_year", plain["origin_year"], int)
-                   if "origin_year" in plain else None)
+    origin_year = plain.get("origin_year")
     if origin_year is not None and not dt.MINYEAR <= origin_year <= dt.MAXYEAR:
         raise ValueError(f"origin_year must lie in {dt.MINYEAR}-{dt.MAXYEAR}, "
-                         f"got {plain['origin_year']!r}")
+                         f"got {pairs['origin_year']!r}")
     if not trend_specs:
         raise ValueError("synth spec defines no trend.<scale> lines")
     for scale in noise_by_scale:
         if scale not in trend_specs:
             raise ValueError(f"noise_sd.{scale} has no trend.{scale} line")
-    default_noise = _check_noise_sd(_spec_number("noise_sd", plain.get("noise_sd", "0"), float))
+    default_noise = _check_noise_sd(plain.get("noise_sd", 0.0))
     return {
         "specs": [make_trend_spec(scale, expr,
                                   noise_sd=noise_by_scale.get(scale, default_noise))
                   for scale, expr in trend_specs.items()],
         "years": range(year_lo, year_hi + 1),
-        "emails_per_year": _spec_number("emails_per_year",
-                                        plain.get("emails_per_year", "10"), int),
+        "emails_per_year": plain.get("emails_per_year", 10),
         "origin_year": origin_year,
-        "seed": _spec_number("seed", plain.get("seed", "0"), int),
+        "seed": plain.get("seed", 0),
     }
 
 

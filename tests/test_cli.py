@@ -781,6 +781,18 @@ class TestOutputWriter:
                 f"cannot make directory {out_dir}: ") in err
         assert blocker.read_text() == "keep me\n"
 
+    @pytest.mark.parametrize("out", ["", ".", "/"], ids=["empty", "dot", "root"])
+    def test_out_without_file_name_exits_1(self, tmp_path, capsys, monkeypatch, out):
+        spec = tmp_path / "step.spec"
+        spec.write_text(STEP_SPEC)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["synth", "--spec", str(spec), "--out", out]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        one_error_line(err)
+        assert err == f"error: cannot write {Path(out)}: no file name\n"
+        assert list(tmp_path.iterdir()) == [spec]
+
 
 # record ids: non-blank, no tab, line break or lone surrogate; a NUL id,
 # which the corpus rejects, is drawn too, and both runs must reject it alike
@@ -937,11 +949,13 @@ def test_lexicon_rule_error_line(tmp_path, capsys, line, message):
     ("seed = 1", "noise_sd.vigor = 0\nnoise_sd = inf", "noise_sd must be finite, got inf"),
     ("seed = 1", "noise_sd.vigor = 0\nnoise_sd = -1", "noise_sd must be >= 0"),
     ("emails_per_year = 2", "emails_per_year = ten",
-     "emails_per_year must be an integer, got 'ten'"),
-    ("seed = 1", "seed = 1.5", "seed must be an integer, got '1.5'"),
-    ("seed = 1", "origin_year = abc", "origin_year must be an integer, got 'abc'"),
-    ("seed = 1", "noise_sd = x", "noise_sd must be a number, got 'x'"),
-    ("seed = 1", "noise_sd.vigor = x", "noise_sd.vigor must be a number, got 'x'"),
+     "bad value for emails_per_year: 'ten'"),
+    ("seed = 1", "seed = 1.5", "bad value for seed: '1.5'"),
+    ("seed = 1", "origin_year = abc", "bad value for origin_year: 'abc'"),
+    ("seed = 1", "noise_sd = x", "bad value for noise_sd: 'x'"),
+    ("seed = 1", "noise_sd.vigor = x", "bad value for noise_sd.vigor: 'x'"),
+    ("years = 2007-2009\nemails_per_year = 2", "emails_per_year = ten",
+     "bad value for emails_per_year: 'ten'"),
     ("seed = 1", "origin_year = 0", "origin_year must lie in 1-9999, got '0'"),
     ("seed = 1", "origin_year = 10000", "origin_year must lie in 1-9999, got '10000'"),
 ], ids=["unknown-key", "unknown-scale", "missing-years", "bad-years", "empty-range",
@@ -952,7 +966,8 @@ def test_lexicon_rule_error_line(tmp_path, capsys, line, message):
         "repeated-trend", "repeated-years", "no-emails", "orphan-scale-noise",
         "infinite-noise-all-scales-set", "negative-noise-all-scales-set",
         "word-emails", "fractional-seed", "word-origin-year", "word-noise",
-        "word-scale-noise", "origin-year-zero", "origin-year-too-late"])
+        "word-scale-noise", "word-before-missing-years", "origin-year-zero",
+        "origin-year-too-late"])
 def test_synth_spec_rule_error_line(tmp_path, capsys, old, new, message):
     spec = tmp_path / "bad.spec"
     spec.write_text(SYNTH_BASE.replace(old, new))
@@ -979,15 +994,26 @@ def test_synth_spec_rule_error_line(tmp_path, capsys, old, new, message):
      "{path}:4: repeated key 'output_dir' (first on line 2)"),
     ("output_dir = o\0x", "output_dir contains a NUL byte"),
     ("lexicon_path = \0", "lexicon_path contains a NUL byte"),
+    ("output_dir =", "output_dir must not be empty"),
 ], ids=["unknown-key", "bool", "int", "optional-int", "float",
         "year-min-alone", "year-range-reversed", "threshold-above-1", "threshold-below-0",
         "negative-top-n", "comment-lines", "no-equals", "repeated-key",
-        "repeated-key-after-comment", "nul-output-dir", "nul-lexicon-path"])
+        "repeated-key-after-comment", "nul-output-dir", "nul-lexicon-path",
+        "empty-output-dir"])
 def test_config_rule_error_line(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.conf"
     cfg.write_text(f"corpus_path = x\n{line}\n")
     rc, err = _error_of(["stats", "--config", str(cfg)], capsys)
     assert (rc, err) == (EXIT_USAGE, f"error: {message.format(path=cfg)}\n")
+
+
+def test_empty_output_dir_flag_exits_1(tmp_path, step_corpus, capsys, monkeypatch):
+    # an empty output_dir would put every output in the working directory
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    rc, err = _error_of(["stats", "--corpus", str(step_corpus), "--output-dir", ""], capsys)
+    assert (rc, err) == (EXIT_USAGE, "error: output_dir must not be empty\n")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_nul_in_corpus_path_rejected():

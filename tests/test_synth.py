@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 import synth_reference
 from ks_oracle import mc_perm_p
-from moodtrends.corpus import filter_english, format_record_line
+from moodtrends.corpus import filter_english, format_record_line, load_word_list
 from moodtrends.lexicon import MoodScale, compile_lexicon, load_default_lexicon, load_lexicon
 from moodtrends.scoring import score_corpus, score_record
 from moodtrends.stats import pairwise_ks
-from moodtrends.synth import (MAX_TERMS_PER_SCALE, generate_corpus, make_trend_spec,
-                              parse_profile)
+from moodtrends.synth import (_FUNCTION_FILLERS, MAX_TERMS_PER_SCALE, _safe_fillers,
+                              generate_corpus, make_trend_spec, parse_profile)
 from moodtrends.textproc import tokenize
 
 YEARS = range(2007, 2017)
@@ -107,6 +107,13 @@ class TestGenerateCorpus:
                                   seed=9)
         result = filter_english(records)
         assert result.rejected == []
+
+    def test_function_fillers_are_function_words(self, matcher):
+        # bodies clear the language filter only because every filler slot
+        # holds one of these words, and all 20 survive the default lexicon
+        assert set(_FUNCTION_FILLERS) <= set(load_word_list("function_words"))
+        kept = _safe_fillers(matcher.stem_memo.stems, _FUNCTION_FILLERS)
+        assert kept == list(_FUNCTION_FILLERS) and len(kept) == 20
 
     def test_fillers_avoid_every_lexicon_stem(self):
         # garden and kitchen are filler nouns and with a function filler; a
