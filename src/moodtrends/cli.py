@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -21,7 +22,6 @@ from . import corpus as corpus_mod
 from . import scoring, stats, svg, synth
 from .config import (KEY_TYPES, ConfigError, PipelineConfig, apply_overrides,
                      parse_kv_file)
-from .corpus import parse_corpus_file
 from .lexicon import (SCALES, LexiconError, compile_lexicon, load_default_lexicon,
                       load_lexicon_file)
 from .scoring import ScoredRecord, YearBucket, bucket_scores
@@ -60,31 +60,49 @@ def _reading(what: str, path, error: type[Exception] = DataError):
         raise error(f"cannot read {what} {path}: {reason}") from None
 
 
+def _checked(path: Path) -> Path:
+    """path, if a file can go there: it has a file name (not ``..``), is no
+    directory, and its nearest existing ancestor is one. Every command checks
+    its outputs so before it reads any input; a bad one is a UsageError."""
+    if path.name in ("", ".."):
+        raise UsageError(f"cannot write {path}: no file name")
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: Is a directory")
+    nearest = next((d for d in path.parents if os.path.exists(d)), None)
+    if nearest and not os.path.isdir(nearest):
+        raise UsageError(f"cannot write {path}: cannot make directory {path.parent}: "
+                         "Not a directory")
+    return path
+
+
+def _outputs(cfg: PipelineConfig, *names: str) -> dict[str, Path]:
+    """Each named output file of cfg.output_dir by name, each one _checked."""
+    return {name: _checked(Path(cfg.output_dir) / name) for name in names}
+
+
 @contextlib.contextmanager
 def _replacing(path: Path):
-    """Writer for every output file: a text handle on the hidden sibling
-    ``.<name>.tmp`` (parent directories are made as needed), moved onto path
-    when the block ends. path holds either its old bytes or all of the new
-    ones; the temp file never outlives the block. A failed write, or a path
-    with no file name, is a UsageError, as every output path comes from a
-    flag or config value; a parent directory that cannot be made is named."""
-    if not path.name:
-        raise UsageError(f"cannot write {path}: no file name")
+    """Writer for every output file, on a _checked path: a text handle on
+    the hidden sibling ``.<name>.tmp`` (<name> cut to 250 bytes, to fit a
+    255-byte name limit), moved onto path at the end, so path holds its old
+    bytes or all of the new ones. Missing parents are made; a failed write is
+    a UsageError and leaves neither the temp file nor a directory it made."""
+    made = list(itertools.takewhile(lambda d: not os.path.exists(d), path.parents))
+    tmp = path.with_name(os.fsdecode(b"." + os.fsencode(path.name)[:250] + b".tmp"))
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: cannot make directory "
-                         f"{exc.filename}: {exc.strerror or exc}") from None
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
+        # made is deepest first and rmdir takes only an empty directory, so
+        # after a write that succeeded the first rmdir fails and none goes
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
+            for d in made:
+                d.rmdir()
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
@@ -106,7 +124,7 @@ def _load_records(cfg: PipelineConfig):
     if not cfg.corpus_path:
         raise UsageError("no corpus path given (flag --corpus or config corpus_path)")
     with _reading("corpus", cfg.corpus_path):
-        return parse_corpus_file(cfg.corpus_path, fmt=cfg.corpus_format)
+        return corpus_mod.parse_corpus_file(cfg.corpus_path, fmt=cfg.corpus_format)
 
 
 def _load_lexicon(path):
@@ -123,17 +141,13 @@ def _compile_lexicon(lexicon):
     return matcher
 
 
-def _load_matcher(cfg: PipelineConfig):
-    if not cfg.lexicon_path:
-        raise UsageError("no lexicon path given (flag --lexicon or config lexicon_path)")
-    return _compile_lexicon(_load_lexicon(cfg.lexicon_path))
-
-
 def _score_chain(cfg: PipelineConfig):
     """parse -> filter -> score; returns the parsed records, the rejections,
     the language filter result and the scored kept records in the year window."""
     records, rejections = _load_records(cfg)
-    matcher = _load_matcher(cfg)
+    if not cfg.lexicon_path:
+        raise UsageError("no lexicon path given (flag --lexicon or config lexicon_path)")
+    matcher = _compile_lexicon(_load_lexicon(cfg.lexicon_path))
     rows: list[ScoredRecord] = []
 
     # each kept body is tokenized once, by the filter, and scored from its
@@ -148,31 +162,26 @@ def _score_chain(cfg: PipelineConfig):
 
 
 def _buckets_json(buckets: dict[int, YearBucket]) -> dict:
-    out = {}
-    for year, b in buckets.items():
-        out[str(year)] = {
-            "year": year,
-            "count": len(b.rows),
-            "zero_match_count": b.zero_match_count,
-            "mean_vector": [repr(b.mean(s)) for s in SCALES] if b.rows else None,
-        }
-    return out
+    return {str(year): {"year": year, "count": len(b.rows),
+                        "zero_match_count": b.zero_match_count,
+                        "mean_vector": [repr(b.mean(s)) for s in SCALES] if b.rows else None}
+            for year, b in buckets.items()}
 
 
 def cmd_stats(args: argparse.Namespace) -> None:
     cfg = _build_config(args)
+    out = _outputs(cfg, "histogram.csv", "mean_lag.csv", "wordfreq.csv", "stats.json")
     records, rejections = _load_records(cfg)
-    out_dir = Path(cfg.output_dir)
     per_year, mean_lag = corpus_mod.delivery_histogram(records)
     if not records:
         print("warning: corpus is empty", file=sys.stderr)
 
-    _write_lines(out_dir / "histogram.csv", [
+    _write_lines(out["histogram.csv"], [
         "delivery_year,count", *(f"{y},{c}" for y, c in per_year.items())])
-    _write_lines(out_dir / "mean_lag.csv", [
+    _write_lines(out["mean_lag.csv"], [
         "origin_year,mean_lag_years", *(f"{y},{v:.6g}" for y, v in mean_lag.items())])
     freq = corpus_mod.word_frequency(records, top_n=cfg.top_n)
-    _write_lines(out_dir / "wordfreq.csv", [
+    _write_lines(out["wordfreq.csv"], [
         "rank,word,count", *(f"{i},{w},{c}" for i, (w, c) in enumerate(freq, start=1))])
     summary = {
         "per_year_counts": {str(y): c for y, c in per_year.items()},
@@ -181,7 +190,7 @@ def cmd_stats(args: argparse.Namespace) -> None:
         "rejected_encoding": sum(r.code == corpus_mod.REJECT_BAD_ENCODING
                                  for r in rejections),
     }
-    _write_lines(out_dir / "stats.json", [json.dumps(summary, indent=2, sort_keys=True)])
+    _write_lines(out["stats.json"], [json.dumps(summary, indent=2, sort_keys=True)])
 
     print(f"records: {len(records)}  rejected lines: {len(rejections)}  "
           f"years: {len(per_year)}")
@@ -192,23 +201,23 @@ SCORES_HEADER = ["id", "delivery_year", *(s.value for s in SCALES), "match_count
 
 def cmd_score(args: argparse.Namespace) -> None:
     cfg = _build_config(args)
+    out = _outputs(cfg, "scores.csv", "buckets.json", "rejections.txt")
     records, rejections, filtered, rows = _score_chain(cfg)
     buckets = bucket_scores(rows)
-    out_dir = Path(cfg.output_dir)
 
     # str() of a float is its shortest round-trip repr, so analyze --scores
     # reads back exactly the vectors inline analysis uses; a zero-match row
     # prints its components as 0
-    with _replacing(out_dir / "scores.csv") as fh:
+    with _replacing(out["scores.csv"]) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SCORES_HEADER)
         for sc in rows:
             writer.writerow([sc.id, sc.delivery_year,
                              *(c if sc.match_count else 0 for c in sc.components),
                              sc.match_count])
-    _write_lines(out_dir / "buckets.json",
+    _write_lines(out["buckets.json"],
                  [json.dumps(_buckets_json(buckets), indent=2, sort_keys=True)])
-    _write_lines(out_dir / "rejections.txt", (
+    _write_lines(out["rejections.txt"], (
         f"{line_no}\t{rec_id}\t{code}\t{detail}" for line_no, rec_id, code, detail in [
             *((r.line_no, r.record_id, r.code, r.detail) for r in rejections),
             *(("-", rec.id, "non-english", "") for rec in filtered.rejected),
@@ -253,40 +262,35 @@ def _scores_row(row: list[str]) -> ScoredRecord:
 
 def cmd_analyze(args: argparse.Namespace) -> None:
     cfg = _build_config(args)
+    forms = ["ks_{}.csv", "trend_{}.csv", "trend_{}.json", *["trend_{}.svg"] * cfg.emit_svg]
+    out = _outputs(cfg, *(form.format(s.value) for s in SCALES for form in forms))
     if args.scores:
         rows = (row for row in _read_scores_csv(args.scores)
                 if cfg.in_range(row.delivery_year))
     else:
         *_, rows = _score_chain(cfg)
-    buckets = bucket_scores(rows)
-    non_empty = [y for y, b in buckets.items() if b.rows]
-    if len(non_empty) < 2:
-        raise DataError(f"need at least two non-empty year buckets, got {len(non_empty)}")
-
-    out_dir = Path(cfg.output_dir)
-    trends_possible = len(non_empty) >= 3
-    if not trends_possible:
+    try:
+        result = stats.analyze(bucket_scores(rows), cfg.alpha_significant, cfg.alpha_marginal)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
+    if not result.trends:
         print("warning: fewer than three non-empty years; trend fits skipped",
               file=sys.stderr)
 
     flagged_total = 0
-    for dimension in SCALES:
+    for dimension, matrix in result.matrices.items():
         name = dimension.value
-        matrix = stats.pairwise_ks(buckets, dimension,
-                                   alpha_significant=cfg.alpha_significant,
-                                   alpha_marginal=cfg.alpha_marginal)
         flagged_total += sum(f != stats.FLAG_NONE for f in matrix.flags.values())
         # cells and flags share one insertion order, and a result fixes its
         # flag; pairs share few distinct results, so each tail is formatted once
         tails = {r: f"{name},{r.d_statistic:.6g},{r.p_value:.4f},{flag}\n" for r, flag
                  in dict.fromkeys(zip(matrix.cells.values(), matrix.flags.values()))}
-        with _replacing(out_dir / f"ks_{name}.csv") as fh:
+        with _replacing(out[f"ks_{name}.csv"]) as fh:
             fh.write("year_a,year_b,dimension,d,p,flag\n" + "".join(
                 f"{ya},{yb},{tails[r]}" for (ya, yb), r in matrix.cells.items()))
 
-        if trends_possible:
-            trend = stats.build_trend(buckets, dimension)
-            _write_lines(out_dir / f"trend_{name}.csv", [
+        if trend := result.trends.get(dimension):
+            _write_lines(out[f"trend_{name}.csv"], [
                 "year,raw_mean,z,fitted",
                 *(f"{year},{raw:.6g},{z:.6g},{fitted:.6g}" for year, raw, z, fitted
                   in zip(trend.years, trend.raw_means, trend.z_scores, trend.fitted))])
@@ -299,18 +303,16 @@ def cmd_analyze(args: argparse.Namespace) -> None:
                 "fitted": [repr(v) for v in trend.fitted],
                 "degenerate": trend.degenerate,
             }
-            _write_lines(out_dir / f"trend_{name}.json",
-                         [json.dumps(trend_json, indent=2)])
+            _write_lines(out[f"trend_{name}.json"], [json.dumps(trend_json, indent=2)])
             if cfg.emit_svg:
-                _write_lines(out_dir / f"trend_{name}.svg",
-                             [svg.render_trend_svg(trend, matrix)])
+                _write_lines(out[f"trend_{name}.svg"], [svg.render_trend_svg(trend, matrix)])
 
-    years_str = f"{min(non_empty)}-{max(non_empty)}"
-    print(f"analyzed years: {years_str}  dimensions: {len(SCALES)}  "
-          f"flagged pairs: {flagged_total}")
+    print(f"analyzed years: {result.years[0]}-{result.years[-1]}  "
+          f"dimensions: {len(SCALES)}  flagged pairs: {flagged_total}")
 
 
 def cmd_synth(args: argparse.Namespace) -> None:
+    out_path = _checked(Path(args.out))
     lexicon = _load_lexicon(args.lexicon) if args.lexicon else load_default_lexicon()
     _compile_lexicon(lexicon)  # for its warnings; generate_corpus compiles its own
     try:
@@ -319,7 +321,6 @@ def cmd_synth(args: argparse.Namespace) -> None:
         records = synth.generate_corpus(lexicon=lexicon, **synth.parse_synth_spec(pairs))
     except ValueError as exc:
         raise DataError(f"bad synth spec: {exc}") from exc
-    out_path = Path(args.out)
     _write_lines(out_path, (corpus_mod.format_record_line(rec) for rec in records))
     years = sorted({r.delivery_year for r in records})
     print(f"wrote {len(records)} records over years {years[0]}-{years[-1]} "
@@ -369,8 +370,7 @@ def build_parser() -> _Parser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
     p_synth.add_argument("--spec", required=True, help="synth spec file")
-    p_synth.add_argument("--lexicon", default=None,
-                         help="lexicon file (default: built-in lexicon)")
+    p_synth.add_argument("--lexicon", help="lexicon file (default: built-in lexicon)")
     p_synth.add_argument("--out", required=True, help="output corpus path")
     p_synth.set_defaults(func=cmd_synth)
 

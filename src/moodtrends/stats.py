@@ -1,6 +1,9 @@
 """Statistical machinery: two-sample two-sided Kolmogorov-Smirnov tests,
 pairwise year comparisons with significance flags, z-scored yearly means and
-global quadratic trend fits.
+global quadratic trend fits. `analyze` runs them all for one set of year
+buckets and returns one `Analysis`: it owns the rule that KS needs two
+non-empty years and a trend three, so a caller computes every test of a run
+before it writes any of them.
 
 KS D is exact: d_num / (n*m) from integer counts. For all year pairs of a
 dimension at once, each pooled value gets one int packing every year's count
@@ -18,7 +21,7 @@ from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .config import ALPHA_MARGINAL, ALPHA_SIGNIFICANT
-from .lexicon import MoodScale
+from .lexicon import SCALES, MoodScale
 from .scoring import YearBucket, plain_sum
 
 FLAG_NONE = "none"
@@ -258,3 +261,27 @@ def build_trend(buckets: dict[int, YearBucket], dimension: MoodScale) -> TrendSe
     return TrendSeries(dimension=dimension, years=years, raw_means=raw_means,
                        z_scores=z_scores, fit_coeffs=coeffs, fitted=fitted,
                        degenerate=degenerate)
+
+
+class Analysis(NamedTuple):
+    """Every test of one run: the non-empty years in order, then one matrix
+    and one trend per scale, keyed in SCALES order; trends is empty when
+    fewer than three years are non-empty."""
+
+    years: list[int]
+    matrices: dict[MoodScale, SignificanceMatrix]
+    trends: dict[MoodScale, TrendSeries]
+
+
+def analyze(buckets: dict[int, YearBucket],
+            alpha_significant: float = ALPHA_SIGNIFICANT,
+            alpha_marginal: float = ALPHA_MARGINAL) -> Analysis:
+    """pairwise_ks and, from three non-empty years on, build_trend for every
+    scale. ValueError when fewer than two years are non-empty."""
+    years = [y for y in sorted(buckets) if buckets[y].rows]
+    if len(years) < 2:
+        raise ValueError(f"need at least two non-empty year buckets, got {len(years)}")
+    matrices = {s: pairwise_ks(buckets, s, alpha_significant, alpha_marginal)
+                for s in SCALES}
+    trends = {s: build_trend(buckets, s) for s in SCALES} if len(years) >= 3 else {}
+    return Analysis(years, matrices, trends)

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import json
+import os
+import stat
 import tempfile
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -14,9 +17,12 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record, run_python, vector_bucket
-from moodtrends.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from moodtrends import stats
+from moodtrends.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _read_scores_csv, _score_chain, main
+from moodtrends.config import PipelineConfig
 from moodtrends.corpus import FORMATS, format_record_line, parse_corpus, parse_corpus_file
 from moodtrends.lexicon import load_default_lexicon
+from moodtrends.scoring import bucket_scores
 
 STEP_SPEC = """\
 years = 2007-2016
@@ -294,6 +300,18 @@ class TestAnalyzeCommand:
         for name in names:
             assert (inline / name).read_bytes() == \
                 (from_scores / name).read_bytes(), name
+
+    def test_stage_composability_records_equal(self, tmp_path, step_corpus):
+        # inline and --scores analysis build one record, not only the same bytes
+        score_out = tmp_path / "score"
+        assert main(["score", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
+                     "--output-dir", str(score_out)]) == EXIT_OK
+        *_, rows = _score_chain(PipelineConfig(corpus_path=str(step_corpus),
+                                               lexicon_path=str(LEXICON)))
+        inline = stats.analyze(bucket_scores(rows))
+        from_scores = stats.analyze(bucket_scores(_read_scores_csv(score_out / "scores.csv")))
+        assert inline == from_scores
+        assert (len(inline.years), len(inline.trends)) == (10, 6)
 
     def test_bucket_means_equal_trend_raw_means(self, tmp_path, step_corpus):
         # buckets.json and trend_<scale>.json print one year mean, from one route
@@ -792,6 +810,61 @@ class TestOutputWriter:
         one_error_line(err)
         assert err == f"error: cannot write {Path(out)}: no file name\n"
         assert list(tmp_path.iterdir()) == [spec]
+
+    @pytest.mark.parametrize("out,reason", [("sub/..", "no file name"),
+                                            ("new/deeper/corpus.tsv", os.strerror(errno.EIO))],
+                             ids=["dot-dot", "failed-replace"])
+    def test_failed_write_leaves_no_directory(self, tmp_path, capsys, monkeypatch, out, reason):
+        spec = tmp_path / "step.spec"
+        spec.write_text(STEP_SPEC)
+        monkeypatch.chdir(tmp_path)
+
+        def failing_replace(src, dst):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        monkeypatch.setattr(os, "replace", failing_replace)
+        capsys.readouterr()
+        assert main(["synth", "--spec", str(spec), "--out", out]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: cannot write {Path(out)}: {reason}\n"
+        assert list(tmp_path.iterdir()) == [spec]
+
+    @pytest.mark.parametrize("name", ["n" * 255, "x" + "\u00e9" * 127],
+                             ids=["ascii", "cut-inside-a-character"])
+    def test_longest_file_name_written(self, tmp_path, name):
+        # the temp name holds a cut of the name, so a 255-byte name still fits
+        assert len(os.fsencode(name)) == 255
+        spec = tmp_path / "step.spec"
+        spec.write_text(STEP_SPEC)
+        out, short = tmp_path / "new" / name, tmp_path / "short.tsv"
+        for path in (out, short):
+            assert main(["synth", "--spec", str(spec), "--out", str(path)]) == EXIT_OK
+        assert out.read_bytes() == short.read_bytes()
+        assert not list(tmp_path.rglob(".*.tmp"))
+        probe = tmp_path / "probe"
+        with open(probe, "w"):
+            pass
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(probe.stat().st_mode)
+
+    @pytest.mark.parametrize("command", ["stats", "score", "analyze", "analyze-scores",
+                                         "synth"])
+    def test_outputs_checked_before_inputs_read(self, tmp_path, capsys, command):
+        # every input is missing and the output cannot be written: the output wins
+        blocker, missing = tmp_path / "blocker", str(tmp_path / "missing")
+        if command == "synth":
+            blocker.mkdir()
+            argv = ["synth", "--spec", missing, "--out", str(blocker)]
+        else:
+            blocker.write_text("keep me\n")
+            argv = {"stats": ["stats", "--corpus", missing],
+                    "score": ["score", "--corpus", missing, "--lexicon", missing],
+                    "analyze": ["analyze", "--corpus", missing, "--lexicon", missing],
+                    "analyze-scores": ["analyze", "--scores", missing],
+                    }[command] + ["--output-dir", str(blocker)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        one_error_line(err)
+        assert err.startswith(f"error: cannot write {blocker}")
+        assert list(tmp_path.iterdir()) == [blocker]
 
 
 # record ids: non-blank, no tab, line break or lone surrogate; a NUL id,

@@ -570,3 +570,34 @@ class TestBuildTrend:
         ta = build_trend(buckets_a, MoodScale.DEPRESSION)
         tb = build_trend(buckets_b, MoodScale.DEPRESSION)
         assert ta.fitted == pytest.approx(tb.fitted, abs=1e-12)
+
+
+class TestAnalyze:
+    SAMPLES = {2010: [0.1, 0.2, 0.3], 2011: [0.15, 0.4, 0.5], 2012: [0.6, 0.7, 0.8]}
+
+    def buckets(self, *years):
+        # plus an empty bucket, which neither the KS nor the trend rule counts
+        return {2000: YearBucket((), 3), **{y: bucket_of(y, self.SAMPLES[y]) for y in years}}
+
+    @pytest.mark.parametrize("years", [(), (2010,)])
+    def test_fewer_than_two_nonempty_years_rejected(self, years):
+        with pytest.raises(ValueError, match=f"need at least two non-empty year buckets, "
+                                             f"got {len(years)}"):
+            stats.analyze(self.buckets(*years))
+
+    def test_two_years_test_every_scale_and_fit_none(self):
+        result = stats.analyze(self.buckets(2012, 2010))
+        assert result.years == [2010, 2012]
+        assert result.matrices == {s: pairwise_ks(self.buckets(2010, 2012), s) for s in SCALES}
+        assert list(result.matrices) == list(SCALES)
+        assert result.trends == {}
+
+    def test_three_years_equal_the_per_scale_calls(self):
+        buckets = self.buckets(2012, 2010, 2011)
+        result = stats.analyze(buckets, 0.2, 0.5)
+        assert result.years == [2010, 2011, 2012]
+        assert result.matrices == {s: pairwise_ks(buckets, s, 0.2, 0.5) for s in SCALES}
+        assert list(result.trends) == list(SCALES)
+        assert result.trends == {s: build_trend(buckets, s) for s in SCALES}
+        # D = 2/3 for 2010-2011: p is about 0.3, so the alphas decide its flag
+        assert result.matrices != stats.analyze(buckets).matrices
