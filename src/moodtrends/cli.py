@@ -120,10 +120,15 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
+def _given(cfg: PipelineConfig, what: str) -> str:
+    """cfg's corpus or lexicon path; a UsageError when none is given."""
+    if not (path := getattr(cfg, f"{what}_path")):
+        raise UsageError(f"no {what} path given (flag --{what} or config {what}_path)")
+    return path
+
+
 def _load_records(cfg: PipelineConfig):
-    if not cfg.corpus_path:
-        raise UsageError("no corpus path given (flag --corpus or config corpus_path)")
-    with _reading("corpus", cfg.corpus_path):
+    with _reading("corpus", _given(cfg, "corpus")):
         return corpus_mod.parse_corpus_file(cfg.corpus_path, fmt=cfg.corpus_format)
 
 
@@ -142,12 +147,12 @@ def _compile_lexicon(lexicon):
 
 
 def _score_chain(cfg: PipelineConfig):
-    """parse -> filter -> score; returns the parsed records, the rejections,
-    the language filter result and the scored kept records in the year window."""
+    """Both paths checked, the lexicon compiled, then parse -> filter -> score;
+    returns the parsed records, the rejections, the language filter result
+    and the scored kept records in the year window."""
+    _given(cfg, "corpus")
+    matcher = _compile_lexicon(_load_lexicon(_given(cfg, "lexicon")))
     records, rejections = _load_records(cfg)
-    if not cfg.lexicon_path:
-        raise UsageError("no lexicon path given (flag --lexicon or config lexicon_path)")
-    matcher = _compile_lexicon(_load_lexicon(cfg.lexicon_path))
     rows: list[ScoredRecord] = []
 
     # each kept body is tokenized once, by the filter, and scored from its

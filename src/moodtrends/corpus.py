@@ -34,6 +34,7 @@ import datetime as dt
 import heapq
 import io
 import json
+import math
 import pkgutil
 import re
 from collections import Counter
@@ -281,14 +282,12 @@ def word_frequency(records: Iterable[EmailRecord], top_n: int) -> list[tuple[str
 def delivery_histogram(records: Iterable[EmailRecord]
                        ) -> tuple[dict[int, int], dict[int, float]]:
     """(per-delivery-year counts, per-origin-year mean lag in fractional
-    years), both in ascending year order; empty for no records."""
+    years: math.fsum of the year's lags over their count, so record order
+    cannot change it), both in ascending year order; empty for no records."""
     per_year: Counter[int] = Counter()
-    lag_sum: dict[int, float] = {}
-    lag_n: Counter[int] = Counter()
+    lags: dict[int, list[float]] = {}
     for rec in records:
         per_year[rec.delivery_year] += 1
-        oy = rec.compose_date.year
-        lag_sum[oy] = lag_sum.get(oy, 0.0) + rec.lag_years()
-        lag_n[oy] += 1
+        lags.setdefault(rec.compose_date.year, []).append(rec.lag_years())
     return ({y: per_year[y] for y in sorted(per_year)},
-            {y: lag_sum[y] / lag_n[y] for y in sorted(lag_sum)})
+            {y: math.fsum(lags[y]) / len(lags[y]) for y in sorted(lags)})

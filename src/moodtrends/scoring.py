@@ -5,19 +5,13 @@ year's matched rows."""
 from __future__ import annotations
 
 import math
-from functools import reduce
 from itertools import compress, repeat
-from operator import add, mul, truediv
+from operator import mul, truediv
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import EmailRecord
 from .lexicon import SCALE_INDEX, SCALES, CompiledMatcher, MoodScale
 from .textproc import tokenize
-
-
-def plain_sum(values: Iterable[float]) -> float:
-    """Left-to-right float sum from 0.0; the builtin sum() is compensated from Python 3.12."""
-    return reduce(add, values, 0.0)
 
 
 def match_counts(stems: Sequence[str], matcher: CompiledMatcher) -> list[int]:
@@ -99,8 +93,8 @@ class YearBucket(NamedTuple):
         return tuple([row.components[index] for row in self.rows])
 
     def mean(self, scale: MoodScale) -> float:
-        """The left-to-right mean of one scale's components; the year needs rows."""
-        return plain_sum(self.components(scale)) / len(self.rows)
+        """math.fsum of one scale's components over the row count, in any row order; needs rows."""
+        return math.fsum(self.components(scale)) / len(self.rows)
 
 
 def bucket_scores(rows: Iterable[ScoredRecord]) -> dict[int, YearBucket]:

@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .config import ALPHA_MARGINAL, ALPHA_SIGNIFICANT
 from .lexicon import SCALES, MoodScale
-from .scoring import YearBucket, plain_sum
+from .scoring import YearBucket
 
 FLAG_NONE = "none"
 FLAG_MARGINAL = "marginal"
@@ -192,17 +192,17 @@ def zscore_series(values: Sequence[float]) -> tuple[list[float], bool]:
     if k < 2:
         raise ValueError("need at least two values to z-score")
     # z-scores are scale-free; an exact power of two brings the largest |v|
-    # into [0.5, 1), so the squared deviations neither overflow nor underflow
+    # into [0.5, 1), so the squared deviations neither overflow (fsum raises) nor underflow
     shift = math.frexp(max(abs(v) for v in values))[1]
     values = [math.ldexp(v, -shift) for v in values]
-    mean = plain_sum(values) / k
+    mean = math.fsum(values) / k
     deviations = [v - mean for v in values]
     # second centering pass keeps the residual sum at the scale of the
     # spread rather than the magnitude, so badly conditioned series (tiny
     # spread on a huge offset) still come out with mean 0 to ~1e-15
-    correction = plain_sum(deviations) / k
+    correction = math.fsum(deviations) / k
     deviations = [d - correction for d in deviations]
-    var = plain_sum(d * d for d in deviations) / (k - 1)
+    var = math.fsum(d * d for d in deviations) / (k - 1)
     if var == 0.0:
         return [0.0] * k, True
     std = math.sqrt(var)
@@ -222,13 +222,13 @@ def polyfit2(xs: Sequence[float], ys: Sequence[float]) -> tuple[tuple[float, flo
     if len(set(xs)) < 3:
         raise ValueError("need at least three distinct x values")
     k = len(xs)
-    xbar = plain_sum(xs) / k
+    xbar = math.fsum(xs) / k
     u = [x - xbar for x in xs]
-    uu = plain_sum(v * v for v in u)
-    g, s = plain_sum(v * v * v for v in u) / uu, uu / k
+    uu = math.fsum(v * v for v in u)
+    g, s = math.fsum(v * v * v for v in u) / uu, uu / k
     q = [v * v - g * v - s for v in u]
-    b0, b1 = plain_sum(ys) / k, plain_sum(v * y for v, y in zip(u, ys)) / uu
-    b2 = plain_sum(w * y for w, y in zip(q, ys)) / plain_sum(w * w for w in q)
+    b0, b1 = math.fsum(ys) / k, math.fsum(v * y for v, y in zip(u, ys)) / uu
+    b2 = math.fsum(w * y for w, y in zip(q, ys)) / math.fsum(w * w for w in q)
     a0, a1 = b0 - b2 * s, b1 - b2 * g
     coeffs = (a0 - a1 * xbar + b2 * xbar * xbar, a1 - 2.0 * b2 * xbar, b2)
     return coeffs, [b0 + b1 * v + b2 * w for v, w in zip(u, q)]

@@ -2,12 +2,16 @@
 bucket held its scored rows.
 
 ``bucket_scores`` keeps, per delivery year, each matched row's components
-as a tuple of six floats and counts the zero-match rows; ``components`` and
-``mean`` read one scale of those vectors with a left-to-right float sum.
-Kept here as the reference that the row form must equal bit for bit.
+as a tuple of six floats and counts the zero-match rows; ``components``
+reads one scale of those vectors, and the row form must equal it bit for
+bit. ``mean`` is the exact sum of that scale (``Fraction``), rounded once
+to a float, then divided by the row count: the value ``math.fsum`` then
+``/ n`` gives, whatever the row order.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from moodtrends.lexicon import SCALE_INDEX
 
@@ -29,7 +33,4 @@ def components(vectors, scale) -> list[float]:
 
 
 def mean(vectors, scale) -> float:
-    total = 0.0
-    for c in components(vectors, scale):
-        total += c
-    return total / len(vectors)
+    return float(sum(map(Fraction, components(vectors, scale)))) / len(vectors)

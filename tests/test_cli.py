@@ -6,6 +6,8 @@ import errno
 import io
 import json
 import os
+import random
+import re
 import stat
 import tempfile
 import xml.etree.ElementTree as ET
@@ -690,6 +692,35 @@ class TestInputGuard:
         one_error_line(err)
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("command", ["score", "analyze"])
+    @pytest.mark.parametrize("lexicon", ["missing", "invalid"])
+    def test_bad_lexicon_reported_before_corpus_parsed(self, tmp_path, step_corpus, capsys,
+                                                       monkeypatch, command, lexicon):
+        path = tmp_path / "lexicon.txt"
+        if lexicon == "invalid":
+            path.write_text("angry | anger | mad\nangry | tension | cross\n")
+        parsed = []
+        monkeypatch.setattr("moodtrends.corpus.parse_corpus_file",
+                            lambda *args, **kwargs: parsed.append(args) or ([], []))
+        capsys.readouterr()
+        assert main([command, "--corpus", str(step_corpus), "--lexicon", str(path),
+                     "--output-dir", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        one_error_line(err)
+        assert ("cannot read lexicon" in err) == (lexicon == "missing")
+        assert parsed == []
+
+    @pytest.mark.parametrize("command", ["score", "analyze"])
+    def test_missing_lexicon_flag_named_before_missing_corpus(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.tsv"
+        capsys.readouterr()
+        assert main([command, "--corpus", str(missing),
+                     "--output-dir", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        one_error_line(err)
+        assert err.splitlines()[-1] == ("error: no lexicon path given "
+                                        "(flag --lexicon or config lexicon_path)")
+
     def test_non_utf8_corpus_lines_rejected(self, tmp_path):
         out = tmp_path / "o"
         assert main(["score", "--corpus", str(bad_input(tmp_path, "non-utf8")),
@@ -1232,3 +1263,88 @@ def test_non_finite_profile_argument_rejected(tmp_path, capsys, profile):
                         capsys)
     assert (rc, err) == (EXIT_DATA,
                          f"error: bad synth spec: bad profile arguments in {profile!r}\n")
+
+
+# several scales planted under heavy noise, so year means carry full-width
+# fractions and a sum that depends on line order shows in their last digits
+METAMORPHIC_SPEC = """\
+years = 2003-2012
+emails_per_year = 40
+origin_year = 2002
+seed = 11
+noise_sd = 1.5
+trend.tension = linear(0.5, 0.8)
+trend.vigor = quadratic(4, -0.6, 0.05)
+trend.depression = step(1, 5, 4)
+"""
+
+
+class TestSameLettersSameBytes:
+    """stats, score and inline analyze --emit-svg give the same bytes for
+    the same letters in another form: shuffled lines (scores.csv and
+    rejections.txt follow input order), JSONL, CRLF line ends, or every date
+    100 years later (score and analyze, year labels mapped back)."""
+
+    @pytest.fixture(scope="class")
+    def letters(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("letters")
+        spec, corpus = tmp / "noisy.spec", tmp / "corpus.tsv"
+        spec.write_text(METAMORPHIC_SPEC)
+        assert _run(["synth", "--spec", str(spec), "--out", str(corpus)])[0] == EXIT_OK
+        records, rejections = parse_corpus_file(corpus)
+        assert len(records) == 400 and not rejections
+        return corpus.read_bytes(), records
+
+    @staticmethod
+    def outputs(tmp_path, name, data, fmt="tsv"):
+        """Each command's stdout and every output file's bytes, keyed by
+        command/file name, for the corpus bytes data."""
+        corpus = tmp_path / f"{name}.{fmt}"
+        corpus.write_bytes(data)
+        files = {}
+        for command in ("stats", "score", "analyze"):
+            out = tmp_path / name / command
+            argv = [command, "--corpus", str(corpus), "--corpus-format", fmt,
+                    "--output-dir", str(out)]
+            if command != "stats":
+                argv += ["--lexicon", str(LEXICON)]
+            if command == "analyze":
+                argv.append("--emit-svg")
+            rc, stdout, errors = _run(argv)
+            assert (rc, errors) == (EXIT_OK, [])
+            files[f"{command}/stdout"] = stdout.encode()
+            files.update((f"{command}/{p.name}", p.read_bytes()) for p in out.iterdir())
+        return files
+
+    def test_shuffled_lines(self, tmp_path, letters):
+        data, _ = letters
+        lines = data.splitlines(keepends=True)
+        random.Random(32).shuffle(lines)
+        original = self.outputs(tmp_path, "original", data)
+        shuffled = self.outputs(tmp_path, "shuffled", b"".join(lines))
+        assert original.keys() == shuffled.keys()
+        in_order = {"score/scores.csv", "score/rejections.txt"}
+        assert ({k for k in original if original[k] != shuffled[k]} - in_order) == set()
+        assert original["score/scores.csv"] != shuffled["score/scores.csv"]
+
+    def test_jsonl_and_crlf(self, tmp_path, letters):
+        data, records = letters
+        jsonl = "".join(json.dumps({"id": r.id, "compose_date": r.compose_date.isoformat(),
+                                    "delivery_date": r.delivery_date.isoformat(),
+                                    "body": r.body}) + "\n" for r in records)
+        original = self.outputs(tmp_path, "original", data)
+        assert self.outputs(tmp_path, "jsonl", jsonl.encode(), "jsonl") == original
+        assert self.outputs(tmp_path, "crlf", data.replace(b"\n", b"\r\n")) == original
+
+    def test_dates_a_century_later(self, tmp_path, letters):
+        data, records = letters
+        later = "".join(format_record_line(r._replace(
+            compose_date=r.compose_date.replace(year=r.compose_date.year + 100),
+            delivery_date=r.delivery_date.replace(year=r.delivery_date.year + 100))) + "\n"
+            for r in records)
+        original = self.outputs(tmp_path, "original", data)
+        shifted = self.outputs(tmp_path, "later", later.encode())
+        # a year label is four digits 2103..2112, not inside a longer number
+        back = {k: re.sub(rb"(?<![\d.])21(0[3-9]|1[0-2])(?!\d)", rb"20\1", v)
+                for k, v in shifted.items() if not k.startswith("stats/")}
+        assert back == {k: v for k, v in original.items() if not k.startswith("stats/")}

@@ -471,6 +471,24 @@ class TestDeliveryHistogram:
         assert (list(delivery_histogram(records)[0].items())
                 == list(delivery_histogram(shuffled)[0].items()))
 
+    # lags are differences of decimal years, so multiples of the ulp at the
+    # compose year; sums only round once they pass about 2**11 years, hence
+    # lags of up to 8,000 years from compose years near 1000
+    @given(st.lists(st.tuples(st.dates(dt.date(1000, 1, 1), dt.date(1001, 12, 31)),
+                              st.integers(0, 8000 * 365)), min_size=1, max_size=40),
+           st.randoms(use_true_random=False))
+    @example([(dt.date(1001, 1, 1), d) for d in (53, 373956, 5)], random.Random(0))
+    @settings(max_examples=200, deadline=None)
+    def test_mean_lag_unchanged_by_record_order(self, dates, rnd):
+        records = [make_record("x", rec_id=f"r{i}", compose=c.isoformat(),
+                               delivery=(c + dt.timedelta(days=d)).isoformat())
+                   for i, (c, d) in enumerate(dates)]
+        _, mean_lag = delivery_histogram(records)
+        _, shuffled = delivery_histogram(rnd.sample(records, len(records)))
+        assert list(mean_lag) == sorted({c.year for c, _ in dates})
+        assert ({y: m.hex() for y, m in mean_lag.items()}
+                == {y: m.hex() for y, m in shuffled.items()})
+
     def test_mean_lag_nonnegative_and_keyed_by_origin(self):
         records = [
             make_record("x", rec_id="a", compose="2006-06-01", delivery="2006-06-01"),

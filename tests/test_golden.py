@@ -10,7 +10,11 @@ to them is output drift between versions, not just between runs. The ingest
 digests were recorded before the ingest rewrite (regex codec, one record
 validator) in the same way; those of stats.json and buckets.json before the
 output formats moved into cli.py. The trend_*.json digests were recorded
-when the quadratic fit moved from LAPACK to plain-Python sums.
+when the quadratic fit moved from LAPACK to plain-Python sums; those of
+buckets.json and trend_{confusion,depression,tension,vigor}.json again when
+every year mean, z-score sum and fit sum became math.fsum, the correctly
+rounded sum, which does not follow line order (the anger and fatigue
+scales, which no letter plants, kept theirs).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ GOLDEN = {
     "corpus.tsv":
         "2eea893cc481bb5f485cf901faf416dc6da1e2c400df0540c313c4351f5aa3e5",
     "buckets.json":
-        "05b472bd78a9f4783b6a48c0272a6535eff71ef2cf13b01e7415053af6e2f7f8",
+        "69c9ecafd291cf632035df2a1d8f7401d52bfdf9b182e981a74f9962c84009ea",
     "ks_anger.csv":
         "d1a424b869cf9dad2c2cfd4c9e7182a44cd1f307068b836e9db10171bbe78384",
     "ks_confusion.csv":
@@ -70,15 +74,15 @@ GOLDEN = {
     "trend_anger.json":
         "c87942fd655f2e742f4f032b326f738b801377989c607d401d46dd390db2aac7",
     "trend_confusion.json":
-        "b7545b569c1eb1363f3bbf421676a622cc60074df761e51531d849680fcd3624",
+        "7ca2f96a250de550e229c619ede910a63dcd112b595570323885a363af2866fd",
     "trend_depression.json":
-        "2f6490f8d9ebcf5fbb063be524317aaeee21173153f346f90d9680b4a104bdd2",
+        "d42a2c3f20db863726c2ef00413fa29df3ff2ae06241a3c0de74c75e7c7d4b06",
     "trend_fatigue.json":
         "2846ef117b9567b2182db0db7251865ae8d9bae834cfc1583daf9874f4d84661",
     "trend_tension.json":
-        "518270501f597fa5b798e9fa98a66921e5a9434ecb5b97a8fe8f940c312a8792",
+        "6bf273110cc15064a68715e40c22741a595022026ed0a145ebaec00488f99eb1",
     "trend_vigor.json":
-        "1b8e08113a25d41edaa6ad9e4d68e4fcf4a3bba036bd89b47171cddca9569965",
+        "4fba58a11e1eb0bc2d2259d8d6fe918f537e42e3e0d1126bb07c13ac532f8912",
 }
 
 

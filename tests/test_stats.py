@@ -277,7 +277,7 @@ class TestZscoreSeries:
     @example([5e-324, 0.0])  # subnormal: scaling only the deviations fails
     @example([1e300, -1e300])  # squared deviations overflow
     @example([1e308, -1e308, 0.0])  # near the float maximum
-    @example([1.0, 1e16, -1e16])  # plain sum 0.0, compensated sum 1.0
+    @example([1.0, 1e16, -1e16])  # left-to-right sum 0.0, math.fsum 1.0
     @settings(max_examples=200)
     def test_output_mean_zero_std_one(self, values):
         zs, degenerate = zscore_series(values)
@@ -541,17 +541,19 @@ class TestBuildTrend:
         assert trend.raw_means[0] == pytest.approx(0.3)
         assert trend.raw_means[1] == pytest.approx(0.7)
 
-    def test_raw_means_equal_sequential_sums(self):
-        # buckets.json and the trend read one column mean; it must match a
-        # plain left-to-right float sum bit for bit, whatever the bucket size
+    def test_raw_means_unchanged_by_row_order(self):
+        # buckets.json and the trend read one column mean; reversing or
+        # shuffling a year's rows must not move it by a bit, whatever the size
         rng = random.Random(17)
         for n in (1, 2, 7, 129, 5000):
-            samples = [rng.random() for _ in range(n)]
-            total = 0.0
-            for v in samples:
-                total += v
-            bucket = vector_bucket([unit_vector(v) for v in samples])
-            assert bucket.mean(SCALES[1]) == total / n
+            samples = {y: [rng.random() for _ in range(n)] for y in (2010, 2011, 2012)}
+            forms = (samples,
+                     {y: s[::-1] for y, s in samples.items()},
+                     {y: rng.sample(s, n) for y, s in samples.items()})
+            means = [[m.hex() for m in build_trend({y: bucket_of(y, s) for y, s in form.items()},
+                                                   MoodScale.DEPRESSION).raw_means]
+                     for form in forms]
+            assert means[0] == means[1] == means[2]
 
     def test_needs_three_nonempty_years(self):
         buckets = {2010: bucket_of(2010, [0.1]), 2011: bucket_of(2011, [0.2])}
