@@ -247,10 +247,13 @@ def _read_scores_csv(path) -> Iterator[ScoredRecord]:
 
 
 def _scores_row(row: list[str]) -> ScoredRecord:
-    """One scores.csv row, held to what score can write: plain decimal year
-    (1..9999) and match_count; components in [0, 1], all 0 iff match_count is 0."""
+    """One scores.csv row, held to what score can write: an id that ingest
+    takes, plain decimal year (1..9999) and match_count; components in
+    [0, 1], all 0 iff match_count is 0."""
     if len(row) != len(SCORES_HEADER):
         raise ValueError(f"expected {len(SCORES_HEADER)} fields, got {len(row)}")
+    if fault := corpus_mod.id_fault(row[0]):
+        raise ValueError(fault)
     components = tuple(map(float, row[2:8]))
     year, match_count = int(row[1]), int(row[8])
     if not (str(year) == row[1] and str(match_count) == row[8] and 1 <= year <= 9999):

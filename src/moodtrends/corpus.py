@@ -38,6 +38,7 @@ import math
 import pkgutil
 import re
 from collections import Counter
+from itertools import chain
 from typing import BinaryIO, Callable, Iterable, NamedTuple
 
 from .textproc import tokenize
@@ -149,6 +150,16 @@ def _bad_id(rec_id: str) -> bool:
     return len(rec_id) > _MAX_ID_CHARS or _BAD_ID.search(rec_id) is not None
 
 
+def id_fault(rec_id: str) -> str:
+    """Why rec_id breaks the record id rule (ingest's and scores.csv's), or ""."""
+    if not rec_id.strip():
+        return "empty record id"
+    if _bad_id(rec_id):
+        return ("record id contains a NUL, a tab, a line break or a lone surrogate, "
+                f"or is over {_MAX_ID_CHARS} characters")
+    return ""
+
+
 def _date(text: str) -> dt.date:
     """A stripped YYYY-MM-DD date; fromisoformat alone also takes the basic
     and week forms on Python 3.11+."""
@@ -164,11 +175,8 @@ def _parse_line(raw_line: bytes, fmt: str, dates: dict[str, dt.date]) -> EmailRe
     except UnicodeDecodeError as exc:
         raise _Rejected("", REJECT_BAD_ENCODING, str(exc)) from None
     rec_id, compose, delivery, body = _fields(line, fmt)
-    if not rec_id.strip():
-        raise _Rejected("", REJECT_BAD_FIELDS, "empty record id")
-    if _bad_id(rec_id):
-        raise _Rejected("", REJECT_BAD_FIELDS, "record id contains a NUL, a tab, a line "
-                        f"break or a lone surrogate, or is over {_MAX_ID_CHARS} characters")
+    if fault := id_fault(rec_id):
+        raise _Rejected("", REJECT_BAD_FIELDS, fault)
     try:
         compose_date = dates.get(compose) or dates.setdefault(compose, _date(compose))
         delivery_date = dates.get(delivery) or dates.setdefault(delivery, _date(delivery))
@@ -271,12 +279,9 @@ def word_frequency(records: Iterable[EmailRecord], top_n: int) -> list[tuple[str
     Ties break toward ascending lexicographic order.
     """
     stopwords = frozenset(load_word_list("stopwords"))
-    counts: Counter[str] = Counter()
-    for rec in records:
-        counts.update(tokenize(rec.body))
-    for word in stopwords & counts.keys():
-        del counts[word]
-    return heapq.nsmallest(top_n, counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    counts = Counter(chain.from_iterable(tokenize(rec.body) for rec in records))
+    return heapq.nsmallest(top_n, ((w, c) for w, c in counts.items() if w not in stopwords),
+                           key=lambda kv: (-kv[1], kv[0]))
 
 
 def delivery_histogram(records: Iterable[EmailRecord]

@@ -116,9 +116,3 @@ def bucket_scores(rows: Iterable[ScoredRecord]) -> dict[int, YearBucket]:
         year_rows.append(ScoredRecord(rec_id, year, floats, match_count))
     return {year: YearBucket(tuple(year_rows), zeros.get(year, 0))
             for year, year_rows in kept.items()}
-
-
-def score_corpus(records: Iterable[EmailRecord],
-                 matcher: CompiledMatcher) -> dict[int, YearBucket]:
-    """Score every record into the bucket of its delivery year."""
-    return bucket_scores(score_record(rec, matcher) for rec in records)

@@ -1,9 +1,9 @@
 """Statistical machinery: two-sample two-sided Kolmogorov-Smirnov tests,
 pairwise year comparisons with significance flags, z-scored yearly means and
 global quadratic trend fits. `analyze` runs them all for one set of year
-buckets and returns one `Analysis`: it owns the rule that KS needs two
-non-empty years and a trend three, so a caller computes every test of a run
-before it writes any of them.
+buckets and returns one `Analysis`, so a caller computes every test of a run
+before it writes any of them. `pairwise_ks` owns the rule that KS needs two
+non-empty years, and `analyze` the rule that a trend needs three.
 
 KS D is exact: d_num / (n*m) from integer counts. For all year pairs of a
 dimension at once, each pooled value gets one int packing every year's count
@@ -162,10 +162,10 @@ def pairwise_ks(buckets: dict[int, YearBucket], dimension: MoodScale,
                 alpha_marginal: float = ALPHA_MARGINAL) -> SignificanceMatrix:
     """Run the KS test on the per-document components of one dimension for
     every unordered pair of years with non-empty buckets. Years whose bucket
-    holds no rows are skipped."""
+    holds no rows are skipped; fewer than two others is a ValueError."""
     years = [y for y in sorted(buckets) if buckets[y].rows]
     if len(years) < 2:
-        raise ValueError("need at least two non-empty year buckets")
+        raise ValueError(f"need at least two non-empty year buckets, got {len(years)}")
     tables = [_step_table(buckets[y].components(dimension)) for y in years]
     sizes = [cum[-1] for _, cum in tables]
     gaps = _gap_maxima(tables)
@@ -279,8 +279,6 @@ def analyze(buckets: dict[int, YearBucket],
     """pairwise_ks and, from three non-empty years on, build_trend for every
     scale. ValueError when fewer than two years are non-empty."""
     years = [y for y in sorted(buckets) if buckets[y].rows]
-    if len(years) < 2:
-        raise ValueError(f"need at least two non-empty year buckets, got {len(years)}")
     matrices = {s: pairwise_ks(buckets, s, alpha_significant, alpha_marginal)
                 for s in SCALES}
     trends = {s: build_trend(buckets, s) for s in SCALES} if len(years) >= 3 else {}

@@ -29,8 +29,7 @@ from moodtrends import porter
 from moodtrends.cli import EXIT_OK, main
 from moodtrends.corpus import filter_english
 from moodtrends.lexicon import SCALES, MoodScale
-from moodtrends.scoring import (ScoredRecord, bucket_scores, match_counts,
-                                score_corpus, score_record)
+from moodtrends.scoring import ScoredRecord, bucket_scores, match_counts, score_record
 from moodtrends.stats import (build_trend, ks_two_sample, pairwise_ks, polyfit2,
                               zscore_series)
 from moodtrends.synth import generate_corpus, make_trend_spec
@@ -101,7 +100,7 @@ def test_c3_normalization(matcher, default_lexicon):
              make_trend_spec(MoodScale.FATIGUE, "constant(1)", noise_sd=0.7)]
     records = generate_corpus(specs, range(2008, 2016), 25, default_lexicon,
                               seed=SEED)
-    buckets = score_corpus(records, matcher)
+    buckets = bucket_scores(score_record(r, matcher) for r in records)
     worst = 0.0
     count = 0
     for bucket in buckets.values():
@@ -226,14 +225,22 @@ def test_c4_supplement_tail_agreement(ks_oracle_runs):
 # 5. planted-trend recovery
 
 
+def filtered_buckets(records, matcher):
+    """The CLI's route: the language filter hands each kept record and its
+    tokens to score_record, and the rows go to bucket_scores."""
+    rows = []
+    filter_english(records, on_kept=lambda rec, tokens:
+                   rows.append(score_record(rec, matcher, tokens)))
+    return bucket_scores(rows)
+
+
 def test_c5_planted_trend_recovery(default_lexicon, matcher):
     t0 = time.perf_counter()
     years = range(2007, 2017)
 
     def run_pipeline(specs, seed):
         records = generate_corpus(specs, years, 50, default_lexicon, seed=seed)
-        kept = filter_english(records).kept
-        buckets = score_corpus(kept, matcher)
+        buckets = filtered_buckets(records, matcher)
         return {dim: pairwise_ks(buckets, dim)
                 for dim in (MoodScale.DEPRESSION, MoodScale.VIGOR)}
 
@@ -293,7 +300,7 @@ def test_c5b_planted_curvature_recovery(default_lexicon, matcher):
         out = []
         for seed in seeds:
             records = generate_corpus(specs, years, 50, default_lexicon, seed=seed)
-            buckets = score_corpus(filter_english(records).kept, matcher)
+            buckets = filtered_buckets(records, matcher)
             out.append(build_trend(buckets, dimension).fit_coeffs[2])
         return out
 
@@ -375,7 +382,7 @@ def test_c7_throughput(default_lexicon, matcher):
     assert words_per_email >= 150
 
     t0 = time.perf_counter()
-    buckets = score_corpus(records, matcher)
+    buckets = bucket_scores(score_record(r, matcher) for r in records)
     t_score = time.perf_counter() - t0
 
     t1 = time.perf_counter()

@@ -435,6 +435,27 @@ class TestAnalyzeCommand:
         assert "error: bad scores.csv line 302: " in err
         assert not (tmp_path / "an").exists()
 
+    # ids that ingest rejects, so score never writes them; a quoted CR or
+    # LF ends the csv module's line, so that row's error names the next line
+    @pytest.mark.parametrize("field, line", [
+        ("a\0b", 4), ("a\tb", 4), ('"a\rb"', 5), ('"a\nb"', 5), ('" "', 4), ("", 4),
+    ], ids=["nul", "tab", "quoted-cr", "quoted-lf", "blank", "empty"])
+    def test_scores_id_held_to_ingest_rule(self, tmp_path, step_corpus, capsys, field, line):
+        score_out = tmp_path / "score"
+        assert main(["score", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
+                     "--output-dir", str(score_out)]) == EXIT_OK
+        scores = score_out / "scores.csv"
+        lines = scores.read_text().split("\n")
+        lines[3] = field + lines[3][lines[3].index(","):]
+        scores.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert main(["analyze", "--scores", str(scores),
+                     "--output-dir", str(tmp_path / "an")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        one_error_line(err)
+        assert f"error: bad scores.csv line {line}: " in err
+        assert not (tmp_path / "an").exists()
+
     def test_scores_path_respects_year_range(self, tmp_path, step_corpus):
         score_out = tmp_path / "score"
         assert main(["score", "--corpus", str(step_corpus),

@@ -6,10 +6,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
+from collections import Counter
+from pathlib import Path
 
 from moodtrends.cli import EXIT_OK, main
+from moodtrends.lexicon import SCALES
 
 LEXICON_LINE = "--lexicon"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def build_messy_corpus(tmp_path):
@@ -103,3 +108,46 @@ def test_jsonl_corpus_through_stats(tmp_path):
     freq = list(csv.DictReader(open(out / "wordfreq.csv")))
     assert freq[0]["word"] == "dear"
     assert freq[0]["count"] == "2"
+
+
+def test_readme_library_route(tmp_path, monkeypatch):
+    """The python blocks under README's "Library use" run in order, tokenize
+    each parsed letter once and give the yearly means score prints."""
+    from moodtrends import corpus, scoring, textproc
+    from test_cli import LEXICON
+    spec = tmp_path / "small.spec"
+    spec.write_text("years = 2007-2012\nemails_per_year = 8\nseed = 3\nnoise_sd = 0.5\n"
+                    "trend.depression = linear(1, 0.5)\ntrend.vigor = constant(2)\n")
+    letters = tmp_path / "corpus.tsv"
+    assert main(["synth", "--spec", str(spec), "--out", str(letters)]) == EXIT_OK
+    # a letter the language filter rejects and a short one it keeps
+    with open(letters, "a") as fh:
+        fh.write("de\t2006-01-01\t2010-01-01\tder die das und aber nicht heute morgen\n"
+                 "short\t2006-01-01\t2011-01-01\tso tense\n")
+    assert main(["score", "--corpus", str(letters), LEXICON_LINE, str(LEXICON),
+                 "--output-dir", str(tmp_path / "score")]) == EXIT_OK
+    printed = json.loads((tmp_path / "score" / "buckets.json").read_text())
+
+    section = README.read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    assert blocks
+    bodies = Counter()
+
+    def counting_tokenize(text):
+        bodies[text] += 1
+        return textproc.tokenize(text)
+
+    monkeypatch.setattr(corpus, "tokenize", counting_tokenize)
+    monkeypatch.setattr(scoring, "tokenize", counting_tokenize)
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    for block in blocks:
+        exec(block, namespace)
+    records = namespace["records"]
+    assert len(records) == 50
+    assert bodies == Counter(rec.body for rec in records)
+    buckets = namespace["buckets"]
+    assert sorted(map(str, buckets)) == sorted(printed)
+    for year, bucket in buckets.items():
+        means = [repr(bucket.mean(s)) for s in SCALES] if bucket.rows else None
+        assert means == printed[str(year)]["mean_vector"], year

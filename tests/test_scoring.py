@@ -15,8 +15,7 @@ import match_reference
 from conftest import PORTER_DATA, make_record, vector_bucket
 from moodtrends.lexicon import (SCALES, MoodScale, StemMemo, compile_lexicon,
                                 load_default_lexicon, load_lexicon)
-from moodtrends.scoring import (ScoredRecord, bucket_scores, match_counts, score_corpus,
-                                score_record)
+from moodtrends.scoring import ScoredRecord, bucket_scores, match_counts, score_record
 from moodtrends.textproc import porter_stem, tokenize
 
 SINGLES_ONLY = """\
@@ -224,7 +223,7 @@ class TestScoreCorpus:
             make_record("I felt daunted today", rec_id="hit", delivery="2010-06-01"),
             make_record("the kitchen table is wooden", rec_id="miss", delivery="2010-06-01"),
         ]
-        buckets = score_corpus(records, matcher)
+        buckets = bucket_scores(score_record(r, matcher) for r in records)
         assert set(buckets) == {2010}
         bucket = buckets[2010]
         assert len(bucket.rows) == 1
@@ -235,14 +234,14 @@ class TestScoreCorpus:
         assert norm(bucket.rows[0].components) == pytest.approx(1.0)
 
     def test_empty_input(self, matcher):
-        assert score_corpus([], matcher) == {}
+        assert bucket_scores(score_record(r, matcher) for r in []) == {}
 
     def test_partition_accounting(self, matcher):
         bodies = ["daunted", "nothing here", "so angry and so tired",
                   "table chair", "worrying all day"]
         records = [make_record(b, rec_id=f"r{i}", delivery=f"20{10 + i % 2}-01-0{i + 1}")
                    for i, b in enumerate(bodies)]
-        buckets = score_corpus(records, matcher)
+        buckets = bucket_scores(score_record(r, matcher) for r in records)
         total = sum(len(b.rows) for b in buckets.values())
         zeros = sum(b.zero_match_count for b in buckets.values())
         assert total + zeros == len(records)
@@ -252,8 +251,8 @@ class TestScoreCorpus:
                    for i, b in enumerate(["angry", "daunted", "tired", "angry sad"])]
         shuffled = records[:]
         random.Random(5).shuffle(shuffled)
-        b1 = score_corpus(records, matcher)[2012]
-        b2 = score_corpus(shuffled, matcher)[2012]
+        b1 = bucket_scores(score_record(r, matcher) for r in records)[2012]
+        b2 = bucket_scores(score_record(r, matcher) for r in shuffled)[2012]
         assert (sorted(v for _, _, v, _ in b1.rows)
                 == sorted(v for _, _, v, _ in b2.rows))
         assert b1.zero_match_count == b2.zero_match_count

@@ -8,7 +8,7 @@ import synth_reference
 from ks_oracle import mc_perm_p
 from moodtrends.corpus import filter_english, format_record_line, load_word_list
 from moodtrends.lexicon import MoodScale, compile_lexicon, load_default_lexicon, load_lexicon
-from moodtrends.scoring import score_corpus, score_record
+from moodtrends.scoring import bucket_scores, score_record
 from moodtrends.stats import pairwise_ks
 from moodtrends.synth import (_FUNCTION_FILLERS, MAX_TERMS_PER_SCALE, _safe_fillers,
                               generate_corpus, make_trend_spec, parse_profile)
@@ -161,7 +161,7 @@ class TestGenerateCorpus:
         ]
         records = generate_corpus(specs, range(2010, 2014), 8, default_lexicon,
                                   seed=5)
-        buckets = score_corpus(records, matcher)
+        buckets = bucket_scores(score_record(r, matcher) for r in records)
         comps = {v for b in buckets.values() for _, _, v, _ in b.rows}
         assert len(comps) == 1  # every email scores (0, 2, 0, 3, 0, 0)/norm
         for dim in (MoodScale.DEPRESSION, MoodScale.VIGOR):
@@ -172,7 +172,7 @@ class TestGenerateCorpus:
         specs = [make_trend_spec(MoodScale.FATIGUE, "step(0, 4, 2)")]
         records = generate_corpus(specs, range(2010, 2014), 6, default_lexicon,
                                   seed=7)
-        buckets = score_corpus(records, matcher)
+        buckets = bucket_scores(score_record(r, matcher) for r in records)
         # years below the step have intensity 0: no lexicon terms at all
         for year in (2010, 2011):
             assert buckets[year].zero_match_count == 6
@@ -184,7 +184,7 @@ class TestGenerateCorpus:
     def test_step_corpus_flags_cross_step_pairs(self, default_lexicon, matcher):
         records = generate_corpus(step_specs(0.0), YEARS, 50, default_lexicon,
                                   seed=2006)
-        buckets = score_corpus(records, matcher)
+        buckets = bucket_scores(score_record(r, matcher) for r in records)
         matrix = pairwise_ks(buckets, MoodScale.DEPRESSION)
         years = sorted(buckets)
         low_years, high_years = years[:5], years[5:]
@@ -210,7 +210,7 @@ class TestGenerateCorpus:
             make_trend_spec(MoodScale.VIGOR, "constant(15)"),
         ]
         records = generate_corpus(specs, YEARS, 20, default_lexicon, seed=31)
-        buckets = score_corpus(records, matcher)
+        buckets = bucket_scores(score_record(r, matcher) for r in records)
         trend = build_trend(buckets, MoodScale.DEPRESSION)
         assert not trend.degenerate
         raw_diffs = [b - a for a, b in zip(trend.raw_means, trend.raw_means[1:])]
