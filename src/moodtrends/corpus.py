@@ -17,7 +17,7 @@ jsonl (one JSON object per line)::
 
   All four values must be JSON strings.
 
-In both formats a record id is non-empty, holds no NUL, tab or line break,
+In both formats a record id is not blank, holds no NUL, tab or line break,
 encodes as UTF-8 (no lone surrogate) and is at most 131,072 characters long,
 so it fits on one line of every output file and in one field that the csv
 module reads back. A rejection report carries the line's id only when it
@@ -112,7 +112,7 @@ def format_record_line(rec: EmailRecord) -> str:
 
 
 class _Rejected(Exception):
-    """A line's rejection; args are (record_id, code, detail), the
+    """A line's rejection; args are (record_id as read, code, detail), the
     RejectionReport fields after line_no."""
 
 
@@ -146,15 +146,11 @@ def _fields(line: str, fmt: str) -> tuple[str, str, str, str]:
     return obj["id"], obj["compose_date"], obj["delivery_date"], obj["body"]
 
 
-def _bad_id(rec_id: str) -> bool:
-    return len(rec_id) > _MAX_ID_CHARS or _BAD_ID.search(rec_id) is not None
-
-
 def id_fault(rec_id: str) -> str:
     """Why rec_id breaks the record id rule (ingest's and scores.csv's), or ""."""
     if not rec_id.strip():
         return "empty record id"
-    if _bad_id(rec_id):
+    if len(rec_id) > _MAX_ID_CHARS or _BAD_ID.search(rec_id):
         return ("record id contains a NUL, a tab, a line break or a lone surrogate, "
                 f"or is over {_MAX_ID_CHARS} characters")
     return ""
@@ -176,7 +172,7 @@ def _parse_line(raw_line: bytes, fmt: str, dates: dict[str, dt.date]) -> EmailRe
         raise _Rejected("", REJECT_BAD_ENCODING, str(exc)) from None
     rec_id, compose, delivery, body = _fields(line, fmt)
     if fault := id_fault(rec_id):
-        raise _Rejected("", REJECT_BAD_FIELDS, fault)
+        raise _Rejected(rec_id, REJECT_BAD_FIELDS, fault)
     try:
         compose_date = dates.get(compose) or dates.setdefault(compose, _date(compose))
         delivery_date = dates.get(delivery) or dates.setdefault(delivery, _date(delivery))
@@ -218,7 +214,7 @@ def parse_corpus(data: bytes | BinaryIO,
         except _Rejected as rej:
             rec_id, code, detail = rej.args
             rejections.append(RejectionReport(
-                line_no, "" if _bad_id(rec_id) else rec_id, code, detail))
+                line_no, "" if id_fault(rec_id) else rec_id, code, detail))
     return records, rejections
 
 

@@ -83,7 +83,7 @@ def score_record(rec: EmailRecord, matcher: CompiledMatcher,
 class YearBucket(NamedTuple):
     """The matched rows of one delivery year in input order, each with six
     float components, plus the number of its documents with no lexicon hit.
-    Fields are stored as given; `bucket_scores` converts and checks them."""
+    Fields are stored as given; `bucket_scores` checks the component count."""
 
     rows: tuple[ScoredRecord, ...] = ()
     zero_match_count: int = 0
@@ -98,21 +98,19 @@ class YearBucket(NamedTuple):
 
 
 def bucket_scores(rows: Iterable[ScoredRecord]) -> dict[int, YearBucket]:
-    """Group scored rows by delivery year, each kept row's components as six floats.
-
-    Zero-match rows are counted per bucket but not kept; a row without six
-    components is a ValueError."""
+    """Group scored rows by delivery year, each kept row filed as given, its
+    components not converted. Zero-match rows are counted per bucket but not
+    kept; a row without six components is a ValueError."""
     kept: dict[int, list[ScoredRecord]] = {}
     zeros: dict[int, int] = {}
     for row in rows:
-        rec_id, year, components, match_count = row
+        _, year, components, match_count = row
         year_rows = kept.setdefault(year, [])
         if match_count == 0:
             zeros[year] = zeros.get(year, 0) + 1
-            continue
-        floats = tuple(map(float, components))
-        if len(floats) != len(SCALES):
+        elif len(components) != len(SCALES):
             raise ValueError(f"every vector needs {len(SCALES)} components")
-        year_rows.append(ScoredRecord(rec_id, year, floats, match_count))
+        else:
+            year_rows.append(row)
     return {year: YearBucket(tuple(year_rows), zeros.get(year, 0))
             for year, year_rows in kept.items()}

@@ -49,8 +49,10 @@ LINE_SEEDS = [
 
 
 def id_rule_holds(rec_id: str) -> bool:
-    """No NUL, tab or line break, encodable as UTF-8, and at most
-    131,072 characters."""
+    """Empty (a rejection's blanked id), or not blank with no NUL, tab or
+    line break, encodable as UTF-8, and at most 131,072 characters."""
+    if rec_id and not rec_id.strip():
+        return False
     try:
         rec_id.encode("utf-8")
     except UnicodeEncodeError:
@@ -196,6 +198,22 @@ class TestParseCorpus:
         assert [(r.line_no, r.code) for r in rejections] == [(1, REJECT_BAD_FIELDS)]
         assert id_rule_holds(rejections[0].record_id)
 
+    @pytest.mark.parametrize("fmt,line", [
+        *(("jsonl", json.dumps({"id": blank, **fields}))
+          for blank in (" ", "\u3000")
+          for fields in ({"compose_date": "2006-01-01"},
+                         {"compose_date": "2006-01-01", "delivery_date": "2008-01-01",
+                          "body": 7},
+                         {"compose_date": "2006-13-01", "delivery_date": "2008-01-01",
+                          "body": "hello"})),
+        ("tsv", " \t2006-01-01\t2008-01-01"),
+    ], ids=["space-missing", "space-non-string", "space-bad-date", "ideographic-missing",
+            "ideographic-non-string", "ideographic-bad-date", "tsv-field-count"])
+    def test_blank_id_reported_empty_whatever_fails_first(self, fmt, line):
+        records, rejections = parse_corpus(line.encode(), fmt=fmt)
+        assert records == []
+        assert [r.record_id for r in rejections] == [""]
+
     @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
     def test_longest_id_kept(self, fmt):
         line = (tsv_line(rec_id=LONGEST_ID) if fmt == "tsv" else
@@ -272,6 +290,8 @@ class TestParseCorpus:
     # mark is skipped, and a rejection on any later line
     @example([BOM, BOM + tsv_line().encode()], b"\n", "tsv")
     @example([BOM, JSONL_TEMPLATE.encode(), BOM], b"\r\n", "jsonl")
+    # a blank id on a line that fails before the id check is reported as ""
+    @example([b'{"id": " ", "compose_date": "2006-01-01"}'], b"\n", "jsonl")
     def test_every_non_blank_line_accounted_for(self, lines, eol, fmt):
         data = eol.join(lines)
         records, rejections = parse_corpus(data, fmt=fmt)

@@ -3,6 +3,7 @@ analysis outputs and their mutual consistency."""
 
 from __future__ import annotations
 
+import ast
 import csv
 import json
 import math
@@ -10,6 +11,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import moodtrends
 from moodtrends.cli import EXIT_OK, main
 from moodtrends.lexicon import SCALES
 
@@ -151,3 +153,18 @@ def test_readme_library_route(tmp_path, monkeypatch):
     for year, bucket in buckets.items():
         means = [repr(bucket.mean(s)) for s in SCALES] if bucket.rows else None
         assert means == printed[str(year)]["mean_vector"], year
+
+
+def test_readme_library_use_lists_the_public_api():
+    """README's "Library use" names the public API: the names its first
+    python block imports plus those of its "The rest of the public API"
+    sentence are exactly moodtrends.__all__, less __version__."""
+    section = README.read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    first_block = re.search(r"```python\n(.*?)```", section, re.DOTALL)[1]
+    imported = {alias.name for node in ast.walk(ast.parse(first_block))
+                if isinstance(node, ast.ImportFrom) and node.module == "moodtrends"
+                for alias in node.names}
+    sentence = re.search(r"The rest of the public API[^.]*\.", " ".join(section.split()))[0]
+    rest = set(re.findall(r"`(\w+)`", sentence))
+    assert imported and rest
+    assert imported | rest == set(moodtrends.__all__) - {"__version__"}
