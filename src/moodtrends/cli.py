@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import itertools
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -202,6 +202,49 @@ def cmd_stats(args: argparse.Namespace) -> None:
 
 
 SCORES_HEADER = ["id", "delivery_year", *(s.value for s in SCALES), "match_count"]
+# what score writes after the id: a year in 1..9999 and a match count as plain decimals,
+# six components as str() prints a float in [0, 1] (0.0, 1.0, 0.xxx, d.ddde-NN) or all 0
+SCORES_FIELDS = re.compile(r"[1-9]\d{0,3}(?:(?:,0){7}|(?:,(?:0\.0{0,3}[1-9]\d*(?<=[1-9])|[01]\.0"
+                           r"|[1-9](?:\.\d*[1-9])?e-(?:0[5-9]|[1-9]\d\d?))){6},[1-9]\d*)", re.A)
+
+
+def _write_scores_csv(path: Path, rows: Iterable[ScoredRecord]) -> None:
+    # str() of a float is its shortest round-trip repr: --scores reads back the same vectors
+    with _replacing(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SCORES_HEADER)
+        for sc in rows:
+            writer.writerow([sc.id, sc.delivery_year,
+                             *(c if sc.match_count else 0 for c in sc.components), sc.match_count])
+
+
+def _read_scores_csv(path) -> Iterator[ScoredRecord]:
+    with _reading("scores", path), open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            if (header := next(reader, [])) != SCORES_HEADER:
+                raise DataError(f"unexpected scores.csv header: {','.join(header)!r}")
+            yield from map(_scores_row, filter(None, reader))
+        except UnicodeDecodeError:
+            raise  # a ValueError too, but a bad byte is _reading's "cannot read"
+        except (csv.Error, ValueError) as exc:
+            raise DataError(f"bad scores.csv line {reader.line_num}: {exc}") from None
+
+
+def _scores_row(row: list[str]) -> ScoredRecord:
+    """One scores.csv row, held to the text score writes: an id that ingest
+    takes, then fields that match SCORES_FIELDS, with a non-zero component
+    when match_count is not 0. A vector's unit norm is not checked."""
+    if len(row) != len(SCORES_HEADER):
+        raise ValueError(f"expected {len(SCORES_HEADER)} fields, got {len(row)}")
+    if fault := corpus_mod.id_fault(row[0]):
+        raise ValueError(fault)
+    if not SCORES_FIELDS.fullmatch(fields := ",".join(row[1:])):
+        raise ValueError(f"fields not as score writes them: {fields!r}")
+    components = tuple(map(float, row[2:8]))
+    if row[8] != "0" and not any(components):
+        raise ValueError(f"match_count {row[8]} but every component is 0")
+    return ScoredRecord(row[0], int(row[1]), components, int(row[8]))
 
 
 def cmd_score(args: argparse.Namespace) -> None:
@@ -210,16 +253,7 @@ def cmd_score(args: argparse.Namespace) -> None:
     records, rejections, filtered, rows = _score_chain(cfg)
     buckets = bucket_scores(rows)
 
-    # str() of a float is its shortest round-trip repr, so analyze --scores
-    # reads back exactly the vectors inline analysis uses; a zero-match row
-    # prints its components as 0
-    with _replacing(out["scores.csv"]) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCORES_HEADER)
-        for sc in rows:
-            writer.writerow([sc.id, sc.delivery_year,
-                             *(c if sc.match_count else 0 for c in sc.components),
-                             sc.match_count])
+    _write_scores_csv(out["scores.csv"], rows)
     _write_lines(out["buckets.json"],
                  [json.dumps(_buckets_json(buckets), indent=2, sort_keys=True)])
     _write_lines(out["rejections.txt"], (
@@ -234,47 +268,12 @@ def cmd_score(args: argparse.Namespace) -> None:
           f"scored: {len(rows)}  zero-match: {zero_total}")
 
 
-def _read_scores_csv(path) -> Iterator[ScoredRecord]:
-    with _reading("scores", path):
-        reader = csv.reader(io.StringIO(Path(path).read_bytes().decode("utf-8-sig"), newline=""))
-    try:
-        header = next(reader, [])
-        if header != SCORES_HEADER:
-            raise DataError(f"unexpected scores.csv header: {','.join(header)!r}")
-        yield from map(_scores_row, filter(None, reader))
-    except (csv.Error, ValueError) as exc:
-        raise DataError(f"bad scores.csv line {reader.line_num}: {exc}") from None
-
-
-def _scores_row(row: list[str]) -> ScoredRecord:
-    """One scores.csv row, held to what score can write: an id that ingest
-    takes, plain decimal year (1..9999) and match_count; components in
-    [0, 1], all 0 iff match_count is 0."""
-    if len(row) != len(SCORES_HEADER):
-        raise ValueError(f"expected {len(SCORES_HEADER)} fields, got {len(row)}")
-    if fault := corpus_mod.id_fault(row[0]):
-        raise ValueError(fault)
-    components = tuple(map(float, row[2:8]))
-    year, match_count = int(row[1]), int(row[8])
-    if not (str(year) == row[1] and str(match_count) == row[8] and 1 <= year <= 9999):
-        raise ValueError(f"delivery_year {row[1]!r} and match_count {row[8]!r} must be "
-                         "plain decimals, the year in 1..9999")
-    if not all(0.0 <= c <= 1.0 for c in components):
-        raise ValueError(f"components not all in [0, 1]: {','.join(row[2:8])}")
-    if match_count < 0:
-        raise ValueError(f"negative match_count {match_count}")
-    if (match_count > 0) != any(components):
-        raise ValueError(f"match_count {match_count} disagrees with the components")
-    return ScoredRecord(row[0], year, components, match_count)
-
-
 def cmd_analyze(args: argparse.Namespace) -> None:
     cfg = _build_config(args)
     forms = ["ks_{}.csv", "trend_{}.csv", "trend_{}.json", *["trend_{}.svg"] * cfg.emit_svg]
     out = _outputs(cfg, *(form.format(s.value) for s in SCALES for form in forms))
     if args.scores:
-        rows = (row for row in _read_scores_csv(args.scores)
-                if cfg.in_range(row.delivery_year))
+        rows = (row for row in _read_scores_csv(args.scores) if cfg.in_range(row.delivery_year))
     else:
         *_, rows = _score_chain(cfg)
     try:

@@ -14,7 +14,6 @@ criterion 4 are enforced as hard assertions.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 import statistics
@@ -26,10 +25,10 @@ import pytest
 from conftest import PORTER_DATA, TESTS_DIR, make_record
 from ks_oracle import exact_perm_p, mc_perm_p, oracle_d
 from moodtrends import porter
-from moodtrends.cli import EXIT_OK, main
+from moodtrends.cli import EXIT_OK, _read_scores_csv, main
 from moodtrends.corpus import filter_english
 from moodtrends.lexicon import SCALES, MoodScale
-from moodtrends.scoring import ScoredRecord, bucket_scores, match_counts, score_record
+from moodtrends.scoring import bucket_scores, match_counts, score_record
 from moodtrends.stats import (build_trend, ks_two_sample, pairwise_ks, polyfit2,
                               zscore_series)
 from moodtrends.synth import generate_corpus, make_trend_spec
@@ -456,11 +455,7 @@ def test_c9_paper_scale_pipeline(tmp_path):
                   "--output-dir", str(an_out)])]
         ks_rows[name] = [len((an_out / f"ks_{s.value}.csv").read_text().splitlines()) - 1
                          for s in SCALES]
-        with open(score_out / "scores.csv", encoding="utf-8", newline="") as fh:
-            buckets = bucket_scores(
-                ScoredRecord(r["id"], int(r["delivery_year"]),
-                             tuple(float(r[s.value]) for s in SCALES), int(r["match_count"]))
-                for r in csv.DictReader(fh))
+        buckets = bucket_scores(_read_scores_csv(score_out / "scores.csv"))
         t1 = time.perf_counter()
         for dim in SCALES:
             pairwise_ks(buckets, dim)

@@ -5,6 +5,7 @@ import csv
 import errno
 import io
 import json
+import math
 import os
 import random
 import re
@@ -15,16 +16,17 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record, run_python, vector_bucket
 from moodtrends import stats
-from moodtrends.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _read_scores_csv, _score_chain, main
+from moodtrends.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, _read_scores_csv, _score_chain,
+                            _write_scores_csv, main)
 from moodtrends.config import PipelineConfig
 from moodtrends.corpus import FORMATS, format_record_line, parse_corpus, parse_corpus_file
 from moodtrends.lexicon import load_default_lexicon
-from moodtrends.scoring import bucket_scores
+from moodtrends.scoring import ScoredRecord, bucket_scores
 
 STEP_SPEC = """\
 years = 2007-2016
@@ -417,15 +419,26 @@ class TestAnalyzeCommand:
         "x, 2010,1.0,0,0,0,0,0,1",
         "x,2_010,1.0,0,0,0,0,0,1",
         "x,2010,1.0,0,0,0,0,0, 1",
+        "x,2010,\u0660.\u0665,0.0,0.0,0.0,0.0,0.0,3",
+        "x,2010, 0.5,0.0,0.0,0.0,0.0,0.0,3",
+        "x,2010,+0.5,0.0,0.0,0.0,0.0,0.0,3",
+        "x,2010,0.2_5,0.0,0.0,0.0,0.0,0.0,3",
+        "x,2010,1e0,0.0,0.0,0.0,0.0,0.0,3",
+        "x,2010,0.50,0.0,0.0,0.0,0.0,0.0,3",
+        "x,2010,.5,0.0,0.0,0.0,0.0,0.0,3",
+        "x,2010,0.0,0.0,0.0,0.0,0.0,0.0,0",
     ], ids=["nan", "inf", "minus-inf-last", "nan-last", "above-1", "below-0", "negative-count",
             "zero-count-with-hits", "count-without-hits", "year-above-9999",
-            "year-0", "year-leading-space", "year-underscore", "count-leading-space"])
+            "year-0", "year-leading-space", "year-underscore", "count-leading-space",
+            "arabic-indic-digits", "component-leading-space", "component-plus",
+            "component-underscore", "component-exponent-0", "component-trailing-zero",
+            "component-no-leading-zero", "zero-count-float-zeros"])
     def test_impossible_scores_row_exits_2(self, tmp_path, step_corpus, capsys, row):
         score_out = tmp_path / "score"
         assert main(["score", "--corpus", str(step_corpus), "--lexicon", str(LEXICON),
                      "--output-dir", str(score_out)]) == EXIT_OK
         scores = score_out / "scores.csv"
-        with open(scores, "a") as fh:
+        with open(scores, "a", encoding="utf-8") as fh:
             fh.write(row + "\n")
         capsys.readouterr()
         assert main(["analyze", "--scores", str(scores),
@@ -679,6 +692,10 @@ def bad_input(tmp_path, kind):
         path.mkdir()
     elif kind == "non-utf8":
         path.write_bytes(b"\xff\xfe\x00bad = \xff\n")
+    elif kind == "non-utf8-past-64k":
+        # a scores.csv whose rows keep the rule up to its first bad byte
+        path.write_bytes(b"id,delivery_year,tension,depression,anger,vigor,fatigue,confusion,"
+                         b"match_count\n" + b"x,2010,0,0,0,0,0,0,0\n" * 4000 + b"\xff\n")
     return path
 
 
@@ -692,6 +709,8 @@ def one_error_line(err):
 DATA_INPUT_FAILURES = [(role, kind) for role in ("corpus", "lexicon", "scores", "spec")
                        for kind in ("missing", "directory", "non-utf8")
                        if (role, kind) != ("corpus", "non-utf8")]
+# scores.csv is read row by row, so its reader meets a late bad byte mid-read
+DATA_INPUT_FAILURES.append(("scores", "non-utf8-past-64k"))
 
 
 class TestInputGuard:
@@ -711,7 +730,7 @@ class TestInputGuard:
         assert main(argv) == EXIT_DATA
         err = capsys.readouterr().err
         one_error_line(err)
-        assert "cannot read" in err
+        assert f"error: cannot read {'synth spec' if role == 'spec' else role} {bad}: " in err
 
     @pytest.mark.parametrize("command", ["score", "analyze"])
     @pytest.mark.parametrize("lexicon", ["missing", "invalid"])
@@ -976,6 +995,24 @@ def test_score_then_analyze_scores_equals_inline(corpus_text):
                 (tmp / "staged" / name).read_bytes(), name
 
 
+# a count over 10^4 times another's puts a component under 1e-4, which
+# str() prints in e-notation (the first example prints 4.9999999937499996e-05)
+@given(st.lists(st.integers(0, 10**7), min_size=6, max_size=6), st.integers(1, 9999))
+@example([1, 0, 0, 0, 0, 20_000], 2010)
+@example([10**7, 1, 3, 0, 0, 999], 9999)
+@example([0, 0, 10**5, 7, 0, 0], 1)
+@example([0] * 6, 2010)
+@settings(max_examples=200, deadline=None)
+def test_written_scores_row_reads_back(counts, year):
+    # normalized as score_record normalizes its int scale sums
+    norm = math.sqrt(sum(c * c for c in counts)) or 1.0
+    row = ScoredRecord("x", year, tuple(c / norm for c in counts), sum(counts))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scores.csv"
+        _write_scores_csv(path, [row])
+        assert list(_read_scores_csv(path)) == [row]
+
+
 def test_every_flag_is_a_config_key():
     import argparse
 
@@ -1218,14 +1255,17 @@ def test_scores_csv_with_bom_accepted(tmp_path, step_corpus):
     plain = score_out / "scores.csv"
     bom = tmp_path / "bom_scores.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-    for path in (plain, bom):
+    crlf = tmp_path / "crlf_scores.csv"
+    crlf.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
+    for path in (plain, bom, crlf):
         assert main(["analyze", "--scores", str(path),
                      "--output-dir", str(tmp_path / f"an_{path.stem}")]) == EXIT_OK
     names = sorted(p.name for p in (tmp_path / "an_scores").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "an_bom_scores").iterdir())
-    for name in names:
-        assert (tmp_path / "an_scores" / name).read_bytes() == \
-            (tmp_path / "an_bom_scores" / name).read_bytes(), name
+    for other in ("an_bom_scores", "an_crlf_scores"):
+        assert names == sorted(p.name for p in (tmp_path / other).iterdir())
+        for name in names:
+            assert (tmp_path / "an_scores" / name).read_bytes() == \
+                (tmp_path / other / name).read_bytes(), name
 
 
 def test_lexicon_with_bom_accepted(tmp_path):
